@@ -20,7 +20,7 @@ from .arith import is_prime
 from .conditions import Witness
 from .config import DEFAULT_CONFIG, WorkbenchConfig
 from .errors import (DomainError, EvaluationBudgetExceeded, EvaluationError,
-                     ModuliNotCoprime)
+                     InvalidArgument, ModuliNotCoprime)
 from .expr import FunctionSystem, NtFunction, evaluate, parse_function
 
 
@@ -62,7 +62,7 @@ def find_zm_witness(fs: FunctionSystem, m: int, box: int | None = None,
     and coprime to m.  Second element reports whether an empty result
     is conclusive (envelope-certified full coverage)."""
     if m < 2:
-        raise ValueError("modulus must be at least 2")
+        raise InvalidArgument("modulus must be at least 2")
     k = fs[0].arity
     required = None
     for f in fs:
@@ -106,7 +106,7 @@ def check_crt_analogy(fs: FunctionSystem, a: int, b: int,
                       config: WorkbenchConfig = DEFAULT_CONFIG) -> AnalogyResult:
     """Witnesses for a, b, and ab, and whether the side witnesses lift."""
     if a < 2 or b < 2:
-        raise ValueError("moduli must be at least 2")
+        raise InvalidArgument("moduli must be at least 2")
     if math.gcd(a, b) != 1:
         raise ModuliNotCoprime(f"gcd({a}, {b}) != 1")
     wa, ca = find_zm_witness(fs, a, box, config)
@@ -157,7 +157,7 @@ def _prime_form_witness(a: int, b: int, m: int,
     """Least x >= 1 with a + b*x prime and strictly inside Z_m^*.
     The scan is complete: beyond (m - a) / b the value leaves [0, m)."""
     if m < 2:
-        raise ValueError("modulus must be at least 2")
+        raise InvalidArgument("modulus must be at least 2")
     x = 1
     while True:
         v = a + b * x
@@ -174,11 +174,11 @@ def prime_witness_lift(a: int, b: int, m: int, n: int,
     """Remark-7 variant for the linear form a + b*x: witnesses must be
     prime on top of lying strictly inside the residue group."""
     if b < 1:
-        raise ValueError("b must be positive")
+        raise InvalidArgument("b must be positive")
     if math.gcd(a, b) != 1:
-        raise ValueError(f"gcd({a}, {b}) != 1 makes the form degenerate")
+        raise InvalidArgument(f"gcd({a}, {b}) != 1 makes the form degenerate")
     if m < 2 or n < 2:
-        raise ValueError("moduli must be at least 2")
+        raise InvalidArgument("moduli must be at least 2")
     if math.gcd(m, n) != 1:
         raise ModuliNotCoprime(f"gcd({m}, {n}) != 1")
     wa, ca = _prime_form_witness(a, b, m, config)

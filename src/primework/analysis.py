@@ -4,6 +4,12 @@ Classification into polynomial normal form, fixed divisors via finite
 grids, monotonicity traits, and the envelope bounds that let bounded
 scans close conclusively: once every later value provably falls
 outside [1, m-1], an empty scan is a proof rather than a shrug.
+
+Each function is analysed once.  The normal form, the dense
+coefficients and the classify profile (one per config) are built
+lazily and cached on the NtFunction instance itself, so a cache lives
+exactly as long as its function.  The public readers hand out fresh
+dicts and lists, never the cached objects.
 """
 
 from __future__ import annotations
@@ -79,8 +85,37 @@ def _normal_form(node: Node, arity: int) -> dict | None:
     return None  # Floor, Piecewise
 
 
+class _Analysis:
+    """What is known about one function, filled in on first use."""
+
+    __slots__ = ("nf", "coeffs", "profiles")
+
+    def __init__(self, f: NtFunction):
+        self.nf = _normal_form(f.body, f.arity)
+        # dense coefficients (constant first); None when f is not a
+        # univariate polynomial
+        self.coeffs = None
+        if self.nf is not None and f.arity == 1:
+            self.coeffs = [0] * (max((k[0] for k in self.nf), default=0) + 1)
+            for k, c in self.nf.items():
+                self.coeffs[k[0]] = c
+        self.profiles: dict[WorkbenchConfig, FunctionProfile] = {}
+
+
+def _analysis(f: NtFunction) -> _Analysis:
+    """The analysis cached on f, built on first use.  NtFunction is
+    frozen, so the cache is attached past its __setattr__; it is not a
+    dataclass field and takes no part in equality, hashing or output."""
+    a = f.__dict__.get("_analysis")
+    if a is None:
+        a = _Analysis(f)
+        object.__setattr__(f, "_analysis", a)
+    return a
+
+
 def poly_normal_form(f: NtFunction) -> dict | None:
-    return _normal_form(f.body, f.arity)
+    nf = _analysis(f).nf
+    return None if nf is None else dict(nf)
 
 
 @dataclass(frozen=True)
@@ -97,7 +132,15 @@ class FunctionProfile:
 
 def classify(f: NtFunction, config: WorkbenchConfig = DEFAULT_CONFIG) -> FunctionProfile:
     """Shape report; fixed_divisor is filled exactly when polynomial."""
-    nf = poly_normal_form(f)
+    a = _analysis(f)
+    profile = a.profiles.get(config)
+    if profile is None:
+        profile = a.profiles[config] = _profile(f, a.nf, config)
+    return profile
+
+
+def _profile(f: NtFunction, nf: dict | None,
+             config: WorkbenchConfig) -> FunctionProfile:
     if nf is None:
         return FunctionProfile(arity=f.arity, is_polynomial=False)
     if not nf:
@@ -150,16 +193,10 @@ def univariate_coeffs(f: NtFunction) -> list[int]:
     """Dense coefficient list (constant first) of a univariate polynomial."""
     if f.arity != 1:
         raise NotUnivariatePolynomial(f"arity {f.arity}")
-    nf = poly_normal_form(f)
-    if nf is None:
+    coeffs = _analysis(f).coeffs
+    if coeffs is None:
         raise NotUnivariatePolynomial("not a polynomial")
-    if not nf:
-        return [0]
-    deg = max(k[0] for k in nf)
-    out = [0] * (deg + 1)
-    for k, c in nf.items():
-        out[k[0]] = c
-    return out
+    return coeffs[:]
 
 
 # --- monotonicity traits -------------------------------------------------
@@ -319,13 +356,14 @@ def envelope_outside_bound(f: NtFunction, m: int,
         if tail_bound is None:
             return None
         return max(body.branches[-1][0] + 1, tail_bound)
-    nf = poly_normal_form(f)
+    a = _analysis(f)
+    nf = a.nf
     if nf is not None:
         if not nf or max(sum(k) for k in nf) == 0:
             v = nf.get((0,) * f.arity, 0)
             return 1 if not 1 <= v <= m - 1 else None
         if f.arity == 1:
-            return _cauchy_outside(univariate_coeffs(f), m)
+            return _cauchy_outside(a.coeffs, m)
     return None
 
 
@@ -335,11 +373,11 @@ def exceeds_one_from(f: NtFunction,
     (X, False) when f(x) < 1 for all x >= X.  None if undetermined."""
     if f.arity != 1:
         return None
-    nf = poly_normal_form(f)
+    a = _analysis(f)
+    nf = a.nf
     if nf is not None and nf and max(k[0] for k in nf) > 0:
-        coeffs = univariate_coeffs(f)
-        X = _cauchy_outside(coeffs, 2)  # outside [1,1] means <1 or >=2
-        return X, coeffs[-1] > 0
+        X = _cauchy_outside(a.coeffs, 2)  # outside [1,1] means <1 or >=2
+        return X, a.coeffs[-1] > 0
     if nf is not None:  # constant polynomial
         v = nf.get((0,), 0)
         return 1, v > 1

@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass
 
 from .config import DEFAULT_CONFIG, WorkbenchConfig
-from .errors import (FactoringBudgetExceeded, MemoryBudgetExceeded,
-                     ModuliNotCoprime, NotCoprime)
+from .errors import (FactoringBudgetExceeded, InvalidArgument,
+                     MemoryBudgetExceeded, ModuliNotCoprime, NotCoprime)
 
 # Witness set deterministic for n < 3,317,044,064,679,887,385,961,981
 # (first twelve primes; Sorenson-Webster).
@@ -170,7 +170,7 @@ def factorize(n: int, config: WorkbenchConfig = DEFAULT_CONFIG) -> Factorization
     cofactor survives the configured rho budget.
     """
     if n < 1:
-        raise ValueError("factorize needs a positive integer")
+        raise InvalidArgument("factorize needs a positive integer")
     orig = n
     found: dict[int, int] = {}
     # trial division by primes up to the configured bound, early exit at sqrt
@@ -284,7 +284,7 @@ def factor_with_table(n: int, spf: list[int]) -> list[tuple[int, int]]:
 def euler_phi(n: int, config: WorkbenchConfig = DEFAULT_CONFIG) -> int:
     """Euler totient; phi(1) = 1 by convention."""
     if n < 1:
-        raise ValueError("phi needs a positive integer")
+        raise InvalidArgument("phi needs a positive integer")
     if n == 1:
         return 1
     out = n
@@ -320,9 +320,9 @@ def crt_solve(congruences: list[tuple[int, int]]) -> tuple[int, int]:
     x, M = 0, 1
     for r, m in congruences:
         if m < 2:
-            raise ValueError(f"modulus {m} too small")
+            raise InvalidArgument(f"modulus {m} too small")
         if not 0 <= r < m:
-            raise ValueError(f"residue {r} outside [0, {m})")
+            raise InvalidArgument(f"residue {r} outside [0, {m})")
         g = math.gcd(M, m)
         if g != 1:
             raise ModuliNotCoprime(f"moduli share factor {g}")
@@ -336,7 +336,7 @@ def crt_solve(congruences: list[tuple[int, int]]) -> tuple[int, int]:
 def least_coprime_exceeding_one(m: int) -> int:
     """Smallest integer a > 1 with gcd(a, m) = 1."""
     if m < 1:
-        raise ValueError("modulus must be positive")
+        raise InvalidArgument("modulus must be positive")
     a = 2
     while math.gcd(a, m) != 1:
         a += 1

@@ -191,7 +191,7 @@ def _cmd_crt_analogy(args, config):
 
 def _cmd_fermat(args, config):
     if args.modulus is not None:
-        value = fermat_in_zm(args.modulus, args.x_min or 1, config)
+        value = fermat_in_zm(args.modulus, config.x_min, config)
         lines = [f"least term in Z_{args.modulus}*: "
                  f"{value if value is not None else 'none'}"]
         return ({"modulus": args.modulus, "least_member": value},

@@ -30,7 +30,7 @@ from .analysis import (envelope_outside_bound, exceeds_one_from,
                        univariate_coeffs)
 from .arith import factorize, is_prime, multiplicative_order, sieve_primes
 from .config import DEFAULT_CONFIG, WorkbenchConfig
-from .errors import EvaluationBudgetExceeded, GRequiresPrime
+from .errors import EvaluationBudgetExceeded, GRequiresPrime, InvalidArgument
 from .expr import Mul, NtFunction, evaluate, evaluate_mod
 
 
@@ -125,7 +125,7 @@ def check_condition_C(f: NtFunction, m: int, horizon: int = _DEFAULT_SCAN,
                       config: WorkbenchConfig = DEFAULT_CONFIG) -> Verdict:
     """Condition C: some value not divisible by m (m >= 2)."""
     if m < 2:
-        raise ValueError("condition C needs a modulus >= 2")
+        raise InvalidArgument("condition C needs a modulus >= 2")
     return _scan_nonzero_residue(f, m, horizon, config)
 
 
@@ -147,7 +147,7 @@ def check_condition_B(f: NtFunction, m: int, horizon: int = _DEFAULT_SCAN,
     of m and the least one is reported.
     """
     if m < 2:
-        raise ValueError("condition B needs a modulus >= 2")
+        raise InvalidArgument("condition B needs a modulus >= 2")
     primes = [p for p, _ in factorize(m, config).factors]
     if f.arity == 1 and poly_normal_form(f) is not None:
         for p in primes:
@@ -205,9 +205,9 @@ def find_value_witness(f: NtFunction, m: int, mode: str,
     """Least-x witness scans for the value conditions E, F, G and for
     plain membership of a value in Z_m^* (mode "Zm")."""
     if mode not in VALUE_MODES:
-        raise ValueError(f"mode must be one of {VALUE_MODES}")
+        raise InvalidArgument(f"mode must be one of {VALUE_MODES}")
     if m < 2:
-        raise ValueError("modulus must be >= 2")
+        raise InvalidArgument("modulus must be >= 2")
     if mode == "G" and not is_prime(m, config):
         raise GRequiresPrime(f"{m} is not prime")
     if f.arity != 1:
@@ -325,7 +325,7 @@ def check_system_conditions(fs: tuple[NtFunction, ...], m: int,
     divides the product at every residue combination.
     """
     if m < 2:
-        raise ValueError("modulus must be >= 2")
+        raise InvalidArgument("modulus must be >= 2")
     arity = fs[0].arity
     product_fn = fs[0]
     for g in fs[1:]:

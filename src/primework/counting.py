@@ -19,7 +19,7 @@ from .arith import factor_with_table, factorize, smallest_factor_table
 from .config import DEFAULT_CONFIG, WorkbenchConfig
 from .conditions import Status, find_value_witness
 from .errors import (CapExceeded, DomainError, EvaluationBudgetExceeded,
-                     EvaluationError)
+                     EvaluationError, InvalidArgument)
 from .expr import FunctionSystem, NtFunction, evaluate
 
 
@@ -62,9 +62,9 @@ def phi_general(fs: FunctionSystem, n: int, box: int | None = None,
     """Count distinct tuples (f_1(X),...,f_s(X)) with every component
     in Z_n^*, X ranging over [1, side]^k."""
     if n < 2:
-        raise ValueError("n must be at least 2")
+        raise InvalidArgument("n must be at least 2")
     if not fs:
-        raise ValueError("empty system")
+        raise InvalidArgument("empty system")
     k = fs[0].arity
     required = _required_side(fs, n, config)
     if box is None:
@@ -223,7 +223,7 @@ def implication_check(f: NtFunction, m_range: tuple[int, int],
     means an implementation bug)."""
     lo, hi = m_range
     if lo < 2 or hi < lo:
-        raise ValueError("bad range")
+        raise InvalidArgument("bad range")
     spf = smallest_factor_table(hi)
     violations = []
     for m in range(lo, hi + 1):

@@ -6,10 +6,17 @@ product polynomial mod p.  It converges slowly, so the partial product
 is always reported with its cutoff and a convergence indicator, and
 accumulation runs over exactly-summed logs in ascending prime order so
 results are bit-stable regardless of chunking.
+
+The system is analysed once per constant: its members are validated
+and multiplied out a single time, and one root counter serves every
+prime up to the cutoff.  The primes come from the sieve, so they are not
+tested for primality again; only the public omega_p, which takes an
+arbitrary p, checks it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -17,7 +24,7 @@ from .analysis import classify, univariate_coeffs
 from .arith import is_prime, sieve_primes
 from .config import DEFAULT_CONFIG, WorkbenchConfig
 from .errors import (DomainError, EvaluationBudgetExceeded, EvaluationError,
-                     NotCoprime, NotUnivariatePolynomial)
+                     InvalidArgument, NotCoprime, NotUnivariatePolynomial)
 from .expr import FunctionSystem, NtFunction, evaluate
 
 
@@ -51,25 +58,37 @@ def _poly_mod(coeffs: list[int], p: int) -> list[int]:
     return cs
 
 
-def _polymul_mod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int]:
+def _mulmod_monic(a: list[int], b: list[int], g: list[int], p: int) -> list[int]:
+    """a * b mod (g, p) for monic g, with a and b already reduced mod g."""
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    # reduce by the monic-scaled modulus
-    d = len(mod) - 1
-    inv = pow(mod[-1], -1, p)
+                out[i + j] += x * y
+    d = len(g) - 1
     for i in range(len(out) - 1, d - 1, -1):
-        c = out[i]
+        c = out[i] % p
         if c:
-            f = c * inv % p
-            for j in range(d + 1):
-                out[i - d + j] = (out[i - d + j] - f * mod[j]) % p
+            for j in range(d):
+                out[i - d + j] -= c * g[j]
     del out[d:]
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
+    return [c % p for c in out]
+
+
+def _x_pow_mod(g: list[int], p: int) -> list[int]:
+    """x^p mod (g, p) for monic g of degree >= 1, as a dense list of
+    length deg g: left to right over the bits of p, squaring, then
+    multiplying by x as a shift."""
+    d = len(g) - 1
+    r = [1] + [0] * (d - 1)
+    for bit in bin(p)[2:]:
+        r = _mulmod_monic(r, r, g, p)
+        if bit == "1":
+            top = r[-1]
+            r = [0] + r[:-1]
+            if top:
+                r = [(c - top * gc) % p for c, gc in zip(r, g)]
+    return r
 
 
 def _poly_gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
@@ -96,19 +115,10 @@ def _distinct_roots_gcd(coeffs: list[int], p: int) -> int:
         return p
     if len(g) == 1:
         return 0
-    # x^p mod g by square and multiply
-    result = [1]
-    base = _polymul_mod([0, 1], [1], g, p)
-    e = p
-    while e:
-        if e & 1:
-            result = _polymul_mod(result, base, g, p)
-        base = _polymul_mod(base, base, g, p)
-        e >>= 1
+    inv = pow(g[-1], -1, p)
+    g = [c * inv % p for c in g]
     # x^p - x
-    h = result[:]
-    while len(h) < 2:
-        h.append(0)
+    h = _x_pow_mod(g, p) + [0]
     h[1] = (h[1] - 1) % p
     while len(h) > 1 and h[-1] == 0:
         h.pop()
@@ -116,34 +126,35 @@ def _distinct_roots_gcd(coeffs: list[int], p: int) -> int:
     return len(gcd) - 1
 
 
+def _root_counter(coeff_lists: list[list[int]]):
+    """p -> omega(p) for one system, p prime: roots of the product of
+    the members mod p among 0..p-1.  The product is formed once here;
+    p is trusted to be prime."""
+    if all(len(cs) <= 2 for cs in coeff_lists):
+        linear = [(cs[1] if len(cs) == 2 else 0, cs[0]) for cs in coeff_lists]
+
+        def omega(p: int) -> int:
+            roots = set()
+            for a, b in linear:
+                a %= p
+                b %= p
+                if a == 0:
+                    if b == 0:
+                        return p  # the zero polynomial kills every residue
+                    continue
+                roots.add(-b * pow(a, -1, p) % p)
+            return len(roots)
+        return omega
+    return functools.partial(_distinct_roots_gcd, _product_coeffs(coeff_lists))
+
+
 def omega_p(fs: FunctionSystem, p: int,
             config: WorkbenchConfig = DEFAULT_CONFIG) -> int:
     """Roots of f_1(x)*...*f_s(x) mod p among 0..p-1, exactly."""
     coeff_lists = _require_univariate_polys(fs, config)
     if not is_prime(p, config):
-        raise ValueError(f"{p} is not prime")
-    if all(len(cs) <= 2 for cs in coeff_lists):
-        roots = set()
-        for cs in coeff_lists:
-            b = cs[0] % p
-            a = cs[1] % p if len(cs) == 2 else 0
-            if a == 0:
-                if b == 0:
-                    return p  # the zero polynomial kills every residue
-                continue
-            roots.add(-b * pow(a, -1, p) % p)
-        return len(roots)
-    prod = _product_coeffs(coeff_lists)
-    if p <= 2000:
-        count = 0
-        for x in range(p):
-            acc = 0
-            for c in reversed(prod):
-                acc = (acc * x + c) % p
-            if acc == 0:
-                count += 1
-        return count
-    return _distinct_roots_gcd(prod, p)
+        raise InvalidArgument(f"{p} is not prime")
+    return _root_counter(coeff_lists)(p)
 
 
 @dataclass(frozen=True)
@@ -161,13 +172,19 @@ def bateman_horn_constant(fs: FunctionSystem, prime_cutoff: int,
     A prime with omega(p) = p is a divisibility obstruction: the system
     can produce at most finitely many primes and C is reported as 0,
     flagged, rather than raised."""
-    s = len(fs)
+    coeff_lists = _require_univariate_polys(fs, config)
+    return _bh_constant(_root_counter(coeff_lists), len(coeff_lists),
+                        prime_cutoff, config)
+
+
+def _bh_constant(omega, s: int, prime_cutoff: int,
+                 config: WorkbenchConfig) -> BhConstant:
     primes = sieve_primes(prime_cutoff, config)
     snapshot_at = prime_cutoff // 10
     terms: list[float] = []
     snapshot_terms = 0
     for p in primes:
-        w = omega_p(fs, p, config)
+        w = omega(p)
         if w == p:
             return BhConstant(0.0, prime_cutoff, 0.0, p)
         terms.append(math.log1p(-w / p) - s * math.log1p(-1.0 / p))
@@ -194,16 +211,26 @@ def predicted_count(fs: FunctionSystem, m: int, prime_cutoff: int = 10**5,
                     config: WorkbenchConfig = DEFAULT_CONFIG) -> PredictedCount:
     """Both textbook shapes of the predicted prime count up to m; the
     sum form is the one to trust at desk scale."""
+    degrees = _prediction_degrees(fs, m, config)
+    c = bateman_horn_constant(fs, prime_cutoff, config).value
+    return _prediction(degrees, m, c)
+
+
+def _prediction_degrees(fs: FunctionSystem, m: int,
+                        config: WorkbenchConfig) -> list[int]:
     if m < 2:
-        raise ValueError("m must be at least 2")
+        raise InvalidArgument("m must be at least 2")
     degrees = []
     for f in fs:
         prof = classify(f, config)
         if not (prof.is_polynomial and prof.arity == 1 and prof.total_degree):
             raise NotUnivariatePolynomial(str(f))
         degrees.append(prof.total_degree)
-    s = len(fs)
-    c = bateman_horn_constant(fs, prime_cutoff, config).value
+    return degrees
+
+
+def _prediction(degrees: list[int], m: int, c: float) -> PredictedCount:
+    s = len(degrees)
     scale = c / math.prod(degrees)
     total = math.fsum(math.log(n) ** -s for n in range(2, m + 1))
     return PredictedCount(m, c, scale * total, scale * m / math.log(m) ** s)
@@ -213,7 +240,7 @@ def actual_count(fs: FunctionSystem, m: int,
                  config: WorkbenchConfig = DEFAULT_CONFIG) -> int:
     """Exact number of 1 <= n <= m with every f_i(n) prime."""
     if any(f.arity != 1 for f in fs):
-        raise ValueError("actual_count scans univariate systems")
+        raise InvalidArgument("actual_count scans univariate systems")
     rows = []
     top = 0
     for n in range(1, m + 1):
@@ -247,11 +274,11 @@ def dlvp_ratio(a: int, b: int, x: int,
                config: WorkbenchConfig = DEFAULT_CONFIG) -> float:
     """pi_{a,b}(x) * phi(b) * log(x) / x, the ratio that tends to 1."""
     if b < 1:
-        raise ValueError("b must be positive")
+        raise InvalidArgument("b must be positive")
     if math.gcd(a, b) != 1:
         raise NotCoprime(f"gcd({a}, {b}) != 1")
     if x < 2:
-        raise ValueError("x must be at least 2")
+        raise InvalidArgument("x must be at least 2")
     count = sum(1 for p in sieve_primes(x, config) if p % b == a % b)
     phi_b = sum(1 for r in range(1, b + 1) if math.gcd(r, b) == 1)
     return count * phi_b * math.log(x) / x
@@ -275,7 +302,7 @@ def least_prime_ap(k: int,
     The scan starts at n = 0, so l itself counts when prime; set
     strict_positive_n to start at n = 1 (the stricter reading)."""
     if k < 2:
-        raise ValueError("k must be at least 2")
+        raise InvalidArgument("k must be at least 2")
     start = 1 if config.strict_positive_n else 0
     entries = []
     for l in range(1, k + 1):
@@ -310,11 +337,11 @@ def ap_product_inequality(a: int, b: int, n_max: int,
     """Partial products of primes of the form a + b*x against the next
     prime of the form: past a small threshold the product always wins."""
     if b < 1:
-        raise ValueError("b must be positive")
+        raise InvalidArgument("b must be positive")
     if math.gcd(a, b) != 1:
         raise NotCoprime(f"gcd({a}, {b}) != 1")
     if n_max < 1:
-        raise ValueError("n_max must be at least 1")
+        raise InvalidArgument("n_max must be at least 1")
     need = n_max + 1
     primes: list[int] = []
     x = 1 if config.strict_positive_n else 0
@@ -355,11 +382,11 @@ def density_estimate(fs: FunctionSystem, prime_cutoff: int, m: int,
                      config: WorkbenchConfig = DEFAULT_CONFIG) -> DensityEstimate:
     """One-stop aggregate: constant, omega sample, prediction, truth."""
     degrees = tuple(classify(f, config).total_degree or 0 for f in fs)
-    bh = bateman_horn_constant(fs, prime_cutoff, config)
-    sample = tuple((p, omega_p(fs, p, config))
-                   for p in sieve_primes(100, config))
+    omega = _root_counter(_require_univariate_polys(fs, config))
+    bh = _bh_constant(omega, len(fs), prime_cutoff, config)
+    sample = tuple((p, omega(p)) for p in sieve_primes(100, config))
     if bh.obstruction is None:
-        pred = predicted_count(fs, m, prime_cutoff, config)
+        pred = _prediction(_prediction_degrees(fs, m, config), m, bh.value)
         predicted_sum, predicted_closed = pred.sum_form, pred.closed_form
     else:
         predicted_sum = predicted_closed = 0.0

@@ -5,6 +5,12 @@ class WorkbenchError(Exception):
     """Base class for all workbench errors."""
 
 
+class InvalidArgument(WorkbenchError, ValueError):
+    """An argument outside the range an operation accepts (a modulus
+    below 2, an empty range, a composite where a prime is required).
+    Also a ValueError, for callers that catch that."""
+
+
 class ExpressionSyntaxError(WorkbenchError):
     """Raised when function text cannot be parsed.
 

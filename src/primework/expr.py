@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .config import DEFAULT_CONFIG, WorkbenchConfig
 from .errors import (ArityError, DomainError, EvaluationBudgetExceeded,
-                     EvaluationError, ExpressionSyntaxError)
+                     EvaluationError, ExpressionSyntaxError, InvalidArgument)
 
 
 # --- AST -----------------------------------------------------------------
@@ -466,6 +466,6 @@ def evaluate_mod(f: NtFunction, point: tuple[int, ...], m: int, *,
     """f(point) mod m in [0, m).  Exponential towers are reduced by
     modular exponentiation over the exact exponent."""
     if m < 1:
-        raise ValueError("modulus must be positive")
+        raise InvalidArgument("modulus must be positive")
     _check_point(f, point, allow_zero)
     return _eval_mod(f.body, point, m)

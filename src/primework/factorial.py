@@ -16,7 +16,8 @@ from functools import lru_cache
 from .analysis import envelope_outside_bound, iter_points, traits
 from .arith import is_prime, sieve_primes
 from .config import DEFAULT_CONFIG, WorkbenchConfig
-from .errors import DomainError, EvaluationBudgetExceeded, EvaluationError
+from .errors import (DomainError, EvaluationBudgetExceeded, EvaluationError,
+                     InvalidArgument)
 from .expr import FunctionSystem, NtFunction, evaluate
 
 
@@ -29,7 +30,7 @@ def coprime_to_factorial(v: int, l: int,
                          config: WorkbenchConfig = DEFAULT_CONFIG) -> bool:
     """gcd(v, l!) = 1, decided as: no prime <= l divides v."""
     if v <= 1:
-        raise ValueError("v must exceed 1")
+        raise InvalidArgument("v must exceed 1")
     if l < 2:
         return True
     return all(v % p for p in _primes_upto(l))
@@ -71,7 +72,7 @@ def least_factorial_witness(fs: FunctionSystem, l: int, horizon: int = 10**4,
     """Least point where every member value exceeds 1, has no prime
     factor <= l, and stays below l!."""
     if l < 2:
-        raise ValueError("l must be at least 2")
+        raise InvalidArgument("l must be at least 2")
     k = fs[0].arity
     for point in iter_points(k, horizon):
         vals = []
@@ -143,10 +144,10 @@ def prop3_scan(f: NtFunction, m_range: tuple[int, int], horizon: int = 10**4,
     whether value-least and argument-least disagree.  The fraction of
     prime least-values is evidence, not a verdict."""
     if f.arity != 1:
-        raise ValueError("prop3_scan is univariate")
+        raise InvalidArgument("prop3_scan is univariate")
     lo, hi = m_range
     if lo < 2 or hi < lo:
-        raise ValueError("bad range")
+        raise InvalidArgument("bad range")
     entries = []
     violations = []
     found = prime_hits = 0
@@ -200,7 +201,7 @@ def conjecture3_probe(fs: FunctionSystem, l_range: tuple[int, int],
     witness carries a composite value."""
     lo, hi = l_range
     if lo < 2 or hi < lo:
-        raise ValueError("bad range")
+        raise InvalidArgument("bad range")
     entries: list[FactorialWitness | None] = []
     violations = []
     for l in range(lo, hi + 1):
@@ -222,7 +223,7 @@ def section9_probe(fs: FunctionSystem, m_range: tuple[int, int],
     itself).  Violations are indices with nothing found in scan range."""
     lo, hi = m_range
     if lo < 2 or hi < lo:
-        raise ValueError("bad range")
+        raise InvalidArgument("bad range")
     base = factorial_base or (lambda m: m)
     k = fs[0].arity
     entries: list[FactorialWitness | None] = []

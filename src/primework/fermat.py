@@ -15,7 +15,7 @@ from enum import Enum
 
 from .arith import is_prime
 from .config import DEFAULT_CONFIG, WorkbenchConfig
-from .errors import EvaluationBudgetExceeded
+from .errors import EvaluationBudgetExceeded, InvalidArgument
 
 
 class FermatStatus(Enum):
@@ -34,7 +34,7 @@ class FermatRecord:
 
 def fermat_number(x: int, config: WorkbenchConfig = DEFAULT_CONFIG) -> int:
     if x < 0:
-        raise ValueError("x must be nonnegative")
+        raise InvalidArgument("x must be nonnegative")
     if 2**x > config.bit_budget:
         raise EvaluationBudgetExceeded(
             f"F({x}) needs {2**x + 1} bits, budget is {config.bit_budget}")
@@ -54,7 +54,7 @@ def euler_lucas_search(x: int, k_limit: int,
     the prime F(4) = 65537 = 1024*64 + 1 out of its own factor list.
     """
     if x < 2:
-        raise ValueError("the 2^(x+2) divisor form needs x >= 2")
+        raise InvalidArgument("the 2^(x+2) divisor form needs x >= 2")
     step = 2**(x + 2)
     found = []
     for k in range(1, k_limit + 1):
@@ -82,7 +82,7 @@ def fermat_coprime_check(m_range: tuple[int, int]) -> list[tuple[int, int]]:
     none) are returned as (m, gcd) pairs."""
     lo, hi = m_range
     if lo < 1 or hi < lo:
-        raise ValueError("bad range")
+        raise InvalidArgument("bad range")
     bad = []
     for m in range(max(lo, 2), hi + 1):
         g = math.gcd((pow(2, 2**m, m) + 1) % m, m)
@@ -107,7 +107,7 @@ def finiteness_argument_check(k_range: tuple[int, int],
     (earlier ones divide m, later ones exceed it)."""
     lo, hi = k_range
     if lo < 1 or hi < lo:
-        raise ValueError("bad range")
+        raise InvalidArgument("bad range")
     if 2**hi > config.bit_budget:
         raise EvaluationBudgetExceeded(f"product for k={hi} breaks the budget")
     out = []
@@ -124,9 +124,9 @@ def fermat_in_zm(m: int, x_min: int = 1,
     """Least Fermat number inside Z_m^*, or None (always conclusive:
     F(x) outgrows m within log2(log2(m)) + 2 steps)."""
     if m < 2:
-        raise ValueError("modulus must be at least 2")
+        raise InvalidArgument("modulus must be at least 2")
     if x_min not in (0, 1):
-        raise ValueError("x_min must be 0 or 1")
+        raise InvalidArgument("x_min must be 0 or 1")
     bits = m.bit_length()
     x = x_min
     while 2**x + 1 <= bits:  # otherwise F(x).bit_length() > bits, so F > m

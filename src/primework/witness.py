@@ -18,7 +18,7 @@ from .arith import (euler_phi_range, factorize, multiplicative_order,
                     smallest_factor_table)
 from .conditions import Status, check_system_conditions, find_value_witness
 from .config import DEFAULT_CONFIG, WorkbenchConfig
-from .errors import BoundFunctionMismatch
+from .errors import BoundFunctionMismatch, InvalidArgument
 from .expr import NtFunction, evaluate_mod, parse_function
 
 
@@ -124,7 +124,7 @@ def verify_bound(f: NtFunction, bound_kind: str, m_range: tuple[int, int],
     """
     lo, hi = m_range
     if lo < 1 or hi < lo:
-        raise ValueError("bad range")
+        raise InvalidArgument("bad range")
     if bound_kind == "sqrt":
         if not is_identity(f):
             raise BoundFunctionMismatch("sqrt bound is stated for the identity")
@@ -139,7 +139,7 @@ def verify_bound(f: NtFunction, bound_kind: str, m_range: tuple[int, int],
         if not is_fermat_shape(f):
             raise BoundFunctionMismatch("linear bound is stated for 2^(2^x) + 1")
         return _fermat_suite(lo, hi, config)
-    raise ValueError(f"bound kind must be one of {BOUND_KINDS}")
+    raise InvalidArgument(f"bound kind must be one of {BOUND_KINDS}")
 
 
 def _sqrt_suite(lo: int, hi: int) -> BoundReport:
@@ -241,7 +241,7 @@ def exponent_identity_check(m_range: tuple[int, int],
     the 2^x - 1 function at the appropriate exponent."""
     lo, hi = m_range
     if lo < 1 or hi < lo:
-        raise ValueError("bad range")
+        raise InvalidArgument("bad range")
     mers = parse_function("2^x - 1")
     phi = euler_phi_range(hi)
     bad = []

@@ -1,0 +1,90 @@
+"""The per-function analysis cache against fresh, uncached computation."""
+
+import dataclasses
+
+import pytest
+
+from primework import analysis
+from primework.analysis import classify, poly_normal_form, univariate_coeffs
+from primework.config import DEFAULT_CONFIG
+from primework.errors import EvaluationBudgetExceeded, NotUnivariatePolynomial
+from primework.expr import NtFunction, parse_function
+
+from test_acceptance import _corpus_polys
+
+# the shapes the README's examples use, plus the non-polynomial and
+# multivariate ones the cache must also answer for
+README_SHAPES = ["2^x-1", "x^3+1", "x", "x+2", "x+180", "2^(2^x)+1",
+                 "x^2+1", "x^2+x+41", "x^3+2", "2*x+1", "-x^2+6", "0",
+                 "floor(x^2 / 3)", "piecewise(x <= 2: x, else: x^2)",
+                 "x*y+1", "(x+y)^3-2*z"]
+
+
+def _functions():
+    return _corpus_polys() + [parse_function(t) for t in README_SHAPES]
+
+
+def _fresh_coeffs(f):
+    """Dense coefficients straight from the normal form, no cache."""
+    nf = analysis._normal_form(f.body, f.arity)
+    if f.arity != 1 or nf is None:
+        return None
+    out = [0] * (max((k[0] for k in nf), default=0) + 1)
+    for k, c in nf.items():
+        out[k[0]] = c
+    return out
+
+
+def _coeffs_or_none(f):
+    try:
+        return univariate_coeffs(f)
+    except NotUnivariatePolynomial:
+        return None
+
+
+def test_cached_readers_equal_fresh_computation():
+    for f in _functions():
+        fresh_nf = analysis._normal_form(f.body, f.arity)
+        fresh_profile = analysis._profile(f, fresh_nf, DEFAULT_CONFIG)
+        for _ in range(2):  # the first call fills the cache, the second reads it
+            assert poly_normal_form(f) == fresh_nf, str(f)
+            assert _coeffs_or_none(f) == _fresh_coeffs(f), str(f)
+            assert classify(f) == fresh_profile, str(f)
+
+
+def test_returned_objects_are_copies():
+    f = parse_function("x^3-2*x+5")
+    nf = poly_normal_form(f)
+    nf[(7,)] = 1
+    nf[(0,)] = 99
+    coeffs = univariate_coeffs(f)
+    coeffs[0] = 99
+    coeffs.append(4)
+    assert poly_normal_form(f) == {(3,): 1, (1,): -2, (0,): 5}
+    assert univariate_coeffs(f) == [5, -2, 0, 1]
+    assert classify(f).monomials == (((0,), 5), ((1,), -2), ((3,), 1))
+
+
+def test_classify_is_cached_per_config():
+    tiny = DEFAULT_CONFIG.with_overrides(bit_budget=2)
+    f = parse_function("x^3-x")
+    assert classify(f).fixed_divisor == 6
+    # the fixed-divisor grid meets f(2) = 6, three bits: the tiny budget
+    # must not be answered from the default config's entry
+    with pytest.raises(EvaluationBudgetExceeded):
+        classify(f, tiny)
+    g = parse_function("x^3-x")
+    with pytest.raises(EvaluationBudgetExceeded):
+        classify(g, tiny)
+    assert classify(g).fixed_divisor == 6
+
+
+def test_cache_is_not_part_of_the_function():
+    f = parse_function("x^2+x")
+    g = parse_function("x^2+x")
+    classify(f)
+    assert f == g and hash(f) == hash(g)
+    assert [fl.name for fl in dataclasses.fields(NtFunction)] == ["arity", "body"]
+    assert dataclasses.asdict(f) == dataclasses.asdict(g)
+    # each instance carries its own analysis
+    assert "_analysis" in vars(f) and "_analysis" not in vars(g)

@@ -1,6 +1,7 @@
 """CLI surface: exit codes, text output, JSON determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -160,3 +161,35 @@ def test_density_dlvp_branch(capsys):
 def test_help_exits_zero(capsys):
     code, _, _ = run(capsys, "--help")
     assert code == 0
+
+
+def test_fermat_x_min_zero_admits_f0(capsys):
+    # F(0) = 3 is the least Fermat number in Z_10^*; from x = 1 on there
+    # is none (F(1) = 5 shares a factor with 10, F(2) = 17 is too big)
+    code, out, _ = run(capsys, "fermat", "--modulus", "10", "--x-min", "0")
+    assert code == 0
+    assert out == "least term in Z_10*: 3\n"
+    code, out, _ = run(capsys, "fermat", "--modulus", "10")
+    assert code == 0
+    assert out == "least term in Z_10*: none\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["sfm", "-f", "x", "--modulus", "1"],
+    ["conditions", "-f", "x", "--modulus", "1"],
+    ["phi", "-f", "x", "--modulus", "1"],
+    ["factorial", "-f", "x", "--limit", "1"],
+])
+def test_out_of_range_argument_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: InvalidArgument: ")
+
+
+def test_verify_paper_json_matches_golden_bytes(capsys, monkeypatch):
+    golden = Path(__file__).parent / "data" / "verify_paper.json"
+    monkeypatch.delenv("WORKBENCH_CONFIG", raising=False)
+    code, out, _ = run(capsys, "verify-paper", "--json")
+    assert code == 0
+    assert out.encode() == golden.read_bytes()

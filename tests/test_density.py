@@ -1,16 +1,19 @@
 """Density constants, predicted versus actual prime counts, progressions."""
 
 import math
+import random
 
 import pytest
 
+from primework.analysis import univariate_coeffs
 from primework.arith import is_prime, sieve_primes
 from primework.config import DEFAULT_CONFIG
-from primework.density import (actual_count, ap_product_inequality,
-                               bateman_horn_constant, density_estimate,
-                               dlvp_ratio, least_prime_ap, omega_p,
-                               predicted_count)
-from primework.errors import NotCoprime, NotUnivariatePolynomial
+from primework.density import (_root_counter, actual_count,
+                               ap_product_inequality, bateman_horn_constant,
+                               density_estimate, dlvp_ratio, least_prime_ap,
+                               omega_p, predicted_count)
+from primework.errors import (InvalidArgument, NotCoprime,
+                              NotUnivariatePolynomial)
 from primework.expr import parse_function, parse_system
 
 
@@ -141,3 +144,105 @@ def test_density_estimate_aggregate():
     assert est.predicted_sum > 0
     assert len(est.omega_sample) == 25  # primes below 100
     assert est.degrees == (1, 1)
+
+
+# --- the per-system root counter ------------------------------------------
+
+# the systems of the benchmark's density workload
+DENSITY_SYSTEMS = ("x; x+2", "x; x+2; x+6", "x; 2*x+1",
+                   "x^2+1", "x^2+x+41", "x^3+2")
+
+
+def _brute_roots(coeff_lists, p):
+    """x in 0..p-1 where some member vanishes mod p, by direct evaluation."""
+    count = 0
+    for x in range(p):
+        for cs in coeff_lists:
+            acc = 0
+            for c in reversed(cs):
+                acc = acc * x + c
+            if acc % p == 0:
+                count += 1
+                break
+    return count
+
+
+def _kernel_systems():
+    rng = random.Random(20261018)
+    systems = [[univariate_coeffs(f) for f in parse_system(s)]
+               for s in DENSITY_SYSTEMS]
+    for deg in range(1, 8):
+        cs = [rng.randint(-50, 50) for _ in range(deg)]
+        cs.append(rng.choice([c for c in range(-9, 10) if c]))
+        systems.append([cs])
+    # zero at every residue mod a small prime although no coefficient is:
+    # x^q - x mod q for q = 2, 3, 5, 7, x^7 - x next to a quadratic, and a
+    # linear member 3x + 6 that is the zero polynomial mod 3
+    for q in (2, 3, 5, 7):
+        systems.append([[0, -1] + [0] * (q - 2) + [1]])
+    systems.append([[0, -1, 0, 0, 0, 0, 0, 1], [2, 0, 3]])
+    systems.append([[6, 3], [1, 1]])
+    return systems
+
+
+def test_root_counter_matches_brute_force_below_3000():
+    primes = sieve_primes(3000)
+    for coeff_lists in _kernel_systems():
+        omega = _root_counter(coeff_lists)
+        for p in primes:
+            assert omega(p) == _brute_roots(coeff_lists, p), (coeff_lists, p)
+
+
+def test_omega_p_keeps_its_argument_checks():
+    fs = parse_system("x; x+2")
+    for composite in (1, 4, 2001, 3 * 7919):
+        with pytest.raises(ValueError):
+            omega_p(fs, composite)
+    with pytest.raises(InvalidArgument):
+        omega_p(fs, 4)
+    with pytest.raises(NotUnivariatePolynomial):
+        omega_p((parse_function("x"), parse_function("2^x+1")), 5)
+    with pytest.raises(NotUnivariatePolynomial):
+        omega_p((parse_function("x*y+1"),), 5)
+
+
+# repr of (value, relative_change) and the obstruction, as computed by
+# the per-prime implementation that re-derived the system for every p
+BH_REFERENCE = {
+    ("x; x+2", 3000): ("1.3203725858508923", "0.0004556520697054419", None),
+    ("x; x+2", 50000): ("1.320325876422801", "1.939033204595077e-05", None),
+    ("x; x+2; x+6", 3000): ("2.8585665737567414", "0.0013693128228591312", None),
+    ("x; x+2; x+6", 50000): ("2.85826317407464", "5.817650666488663e-05", None),
+    ("x; 2*x+1", 3000): ("1.3203725858508923", "0.0004556520697054419", None),
+    ("x; 2*x+1", 50000): ("1.320325876422801", "1.939033204595077e-05", None),
+    ("x^2+1", 3000): ("1.3696764995205717", "0.0056225493165151024", None),
+    ("x^2+1", 50000): ("1.3725854219937257", "0.0013409419768068223", None),
+    ("x^2+x+41", 3000): ("6.654174661091309", "0.0022219116109346397", None),
+    ("x^2+x+41", 50000): ("6.644010952841978", "0.0032742476270312642", None),
+    ("x^3+2", 3000): ("1.2932577272734456", "0.01244098069904263", None),
+    ("x^3+2", 50000): ("1.2972889210255552", "0.00010295666436960734", None),
+    ("x; x+1", 3000): ("0.0", "0.0", 2),
+    ("x^3-x+3", 3000): ("0.0", "0.0", 3),
+    ("x^2+3*x+5; 3*x^2+5", 50000): ("2.4344452025353385",
+                                    "0.0017666583729032766", None),
+    ("7*x^5+3*x+1", 50000): ("2.303399027639946",
+                             "0.00026928265247491896", None),
+}
+
+
+def test_bateman_horn_constants_bit_for_bit():
+    for (text, cutoff), (value, rel, obstruction) in BH_REFERENCE.items():
+        bh = bateman_horn_constant(parse_system(text), cutoff)
+        assert (repr(bh.value), repr(bh.relative_change), bh.obstruction) \
+            == (value, rel, obstruction), (text, cutoff)
+
+
+def test_density_estimate_reuses_one_constant():
+    fs = parse_system("x^2+1")
+    est = density_estimate(fs, 3000, 500)
+    pred = predicted_count(fs, 500, prime_cutoff=3000)
+    assert repr(est.constant) == BH_REFERENCE[("x^2+1", 3000)][0]
+    assert (est.predicted_sum, est.predicted_closed) \
+        == (pred.sum_form, pred.closed_form)
+    assert est.omega_sample == tuple((p, omega_p(fs, p))
+                                     for p in sieve_primes(100))
