@@ -38,8 +38,8 @@ from .fermat import (FermatRecord, FermatStatus, divides_fermat,
                      fermat_number, finiteness_argument_check,
                      known_fermat_records, verify_factorization)
 from .witness import (BoundReport, ExponentIdentityReport, LeastWitnessRecord,
-                      exponent_identity_check, s_f, s_f_mersenne_scan,
-                      s_system, verify_bound)
+                      exponent_identity_check, s_f, s_system,
+                      verify_bound)
 
 __version__ = "0.1.0"
 

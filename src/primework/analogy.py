@@ -15,10 +15,10 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .analysis import _ge_probe, envelope_outside_bound, iter_points, traits
+from .analysis import _ge_probe, _required_side, iter_points, traits
 from .arith import is_prime
 from .conditions import Witness
-from .config import DEFAULT_CONFIG, WorkbenchConfig
+from .config import DEFAULT_CONFIG, SCAN_HORIZON, WorkbenchConfig
 from .errors import (DomainError, EvaluationBudgetExceeded, EvaluationError,
                      InvalidArgument, ModuliNotCoprime)
 from .expr import FunctionSystem, NtFunction, evaluate, parse_function
@@ -64,13 +64,10 @@ def find_zm_witness(fs: FunctionSystem, m: int, box: int | None = None,
     if m < 2:
         raise InvalidArgument("modulus must be at least 2")
     k = fs[0].arity
-    required = None
-    for f in fs:
-        x = envelope_outside_bound(f, m, config)
-        if x is not None and (required is None or x < required):
-            required = x - 1
+    required = _required_side(fs, m, config)
     if box is None:
-        side = required if required is not None else min(config.horizon, 10**4)
+        side = required if required is not None else min(config.horizon,
+                                                         SCAN_HORIZON)
     else:
         side = box
     conclusive = required is not None and side >= required

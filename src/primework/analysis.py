@@ -10,6 +10,10 @@ coefficients and the classify profile (one per config) are built
 lazily and cached on the NtFunction instance itself, so a cache lives
 exactly as long as its function.  The public readers hand out fresh
 dicts and lists, never the cached objects.
+
+The workbench scan order (iter_points) lives here too, with the one
+exact search over it (_Scan) that every least-witness, count and probe
+loop runs through.
 """
 
 from __future__ import annotations
@@ -18,7 +22,8 @@ import math
 from dataclasses import dataclass
 
 from .config import DEFAULT_CONFIG, WorkbenchConfig
-from .errors import EvaluationBudgetExceeded, NotPolynomial, NotUnivariatePolynomial
+from .errors import (DomainError, EvaluationBudgetExceeded, EvaluationError,
+                     NotPolynomial, NotUnivariatePolynomial)
 from .expr import (Add, Const, Floor, Mul, Neg, NtFunction, Node, Piecewise,
                    Pow, Sub, Var, _max_var, evaluate)
 
@@ -367,6 +372,17 @@ def envelope_outside_bound(f: NtFunction, m: int,
     return None
 
 
+def _required_side(fs, bound: int, config: WorkbenchConfig) -> int | None:
+    """Side beyond which some member provably leaves [1, bound-1],
+    killing every tuple; None when no member has an envelope."""
+    best = None
+    for f in fs:
+        x = envelope_outside_bound(f, bound, config)
+        if x is not None and (best is None or x < best):
+            best = x
+    return None if best is None else best - 1
+
+
 def exceeds_one_from(f: NtFunction,
                      config: WorkbenchConfig = DEFAULT_CONFIG) -> tuple[int, bool] | None:
     """For univariate f: (X, True) when f(x) > 1 for all x >= X, or
@@ -389,7 +405,10 @@ def exceeds_one_from(f: NtFunction,
         return max(body.branches[-1][0] + 1, tail[0]), tail[1]
     t = traits(body)
     if t.nondec and 1 in t.unbounded:
-        th = _axis_threshold(f, 0, 2, t.nonneg, config)
+        try:
+            th = _axis_threshold(f, 0, 2, t.nonneg, config)
+        except (DomainError, EvaluationError):
+            return None  # a probe hit an undefined point: no certificate
         if th is not None:
             return th, True
     return None
@@ -419,6 +438,46 @@ def iter_points(k: int, limit: int):
         return
     for n in range(1, limit + 1):
         yield from _shell(k, n)
+
+
+class _Scan:
+    """The one exact search: walk `points`, evaluate the members of `fs`
+    in order at each point, stop at the first value `accept` rejects,
+    and yield (point, values) for every point where all members pass.
+
+    A point where some member is undefined (DomainError,
+    EvaluationError) has no value: it is skipped and coverage stays
+    intact.  The first point whose value exceeds the bit budget ends
+    the scan as a horizon would; `cut` records that point, and a
+    caller must then not claim to have covered the points it passed.
+    """
+
+    __slots__ = ("fs", "points", "accept", "config", "cut")
+
+    def __init__(self, fs, points, accept, config: WorkbenchConfig):
+        self.fs = fs
+        self.points = points
+        self.accept = accept
+        self.config = config
+        self.cut: tuple[int, ...] | None = None
+
+    def __iter__(self):
+        fs, accept, config = self.fs, self.accept, self.config
+        for point in self.points:
+            values = []
+            for f in fs:
+                try:
+                    v = evaluate(f, point, config=config)
+                except (DomainError, EvaluationError):
+                    break
+                except EvaluationBudgetExceeded:
+                    self.cut = point
+                    return
+                if not accept(v):
+                    break
+                values.append(v)
+            else:
+                yield point, tuple(values)
 
 
 # --- shape detection -----------------------------------------------------

@@ -22,7 +22,7 @@ from .analogy import LiftStatus, check_crt_analogy
 from .arith import is_prime
 from .checks import run_checks
 from .conditions import Status, check_system_conditions, condition_report
-from .config import WorkbenchConfig, resolve_config
+from .config import SCAN_HORIZON, WorkbenchConfig, resolve_config
 from .counting import phi_general, pi_general_exact
 from .density import (ap_product_inequality, density_estimate, dlvp_ratio,
                       least_prime_ap)
@@ -112,7 +112,7 @@ def _verdict_line(name, verdict):
 def _cmd_conditions(args, config):
     fs = _functions(args)
     _require(args, "modulus")
-    horizon = args.horizon or 10**4
+    horizon = args.horizon or SCAN_HORIZON
     if len(fs) > 1:
         verdict = check_system_conditions(fs, args.modulus, horizon, config)
         lines = [_verdict_line("H/I", verdict)]
@@ -134,7 +134,7 @@ def _cmd_conditions(args, config):
 def _cmd_sfm(args, config):
     fs = _functions(args)
     _require(args, "modulus")
-    horizon = args.horizon or 10**4
+    horizon = args.horizon or SCAN_HORIZON
     if len(fs) > 1:
         rec = s_system(fs, args.modulus, horizon, config)
     else:
@@ -248,7 +248,7 @@ def _cmd_ap(args, config):
 def _cmd_factorial(args, config):
     fs = _functions(args)
     _require(args, "limit")
-    horizon = args.horizon or 10**4
+    horizon = args.horizon or SCAN_HORIZON
     w = least_factorial_witness(fs, args.limit, horizon, config)
     if w is None:
         lines = [f"no witness found (horizon {horizon})"]

@@ -16,7 +16,8 @@ product of the member values):
 
 Scans are three-valued.  Polynomial and base-power shapes close
 conclusively through residue periods and envelope certificates; other
-shapes report Unknown when the horizon runs out.
+shapes report Unknown when the horizon runs out, and so does any scan
+that meets a value beyond the bit budget.
 """
 
 from __future__ import annotations
@@ -25,11 +26,11 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .analysis import (envelope_outside_bound, exceeds_one_from,
+from .analysis import (_Scan, envelope_outside_bound, exceeds_one_from,
                        exp_linear_shape, iter_points, poly_normal_form,
                        univariate_coeffs)
 from .arith import factorize, is_prime, multiplicative_order, sieve_primes
-from .config import DEFAULT_CONFIG, WorkbenchConfig
+from .config import DEFAULT_CONFIG, SCAN_HORIZON, WorkbenchConfig
 from .errors import EvaluationBudgetExceeded, GRequiresPrime, InvalidArgument
 from .expr import Mul, NtFunction, evaluate, evaluate_mod
 
@@ -57,9 +58,6 @@ class Verdict:
     @property
     def conclusive(self) -> bool:
         return self.status is not Status.UNKNOWN
-
-
-_DEFAULT_SCAN = 10**4
 
 
 def _poly_mod_scanner(f: NtFunction, modulus: int):
@@ -114,14 +112,14 @@ def _scan_nonzero_residue(f: NtFunction, modulus: int, horizon: int,
 
 
 def check_condition_D(f: NtFunction, prime_bound: int,
-                      horizon: int = _DEFAULT_SCAN,
+                      horizon: int = SCAN_HORIZON,
                       config: WorkbenchConfig = DEFAULT_CONFIG) -> dict[int, Verdict]:
     """Condition D prime by prime, for every prime <= prime_bound."""
     return {p: _scan_nonzero_residue(f, p, horizon, config)
             for p in sieve_primes(prime_bound, config)}
 
 
-def check_condition_C(f: NtFunction, m: int, horizon: int = _DEFAULT_SCAN,
+def check_condition_C(f: NtFunction, m: int, horizon: int = SCAN_HORIZON,
                       config: WorkbenchConfig = DEFAULT_CONFIG) -> Verdict:
     """Condition C: some value not divisible by m (m >= 2)."""
     if m < 2:
@@ -136,7 +134,7 @@ def _radical(m: int, config: WorkbenchConfig) -> int:
     return out
 
 
-def check_condition_B(f: NtFunction, m: int, horizon: int = _DEFAULT_SCAN,
+def check_condition_B(f: NtFunction, m: int, horizon: int = SCAN_HORIZON,
                       config: WorkbenchConfig = DEFAULT_CONFIG) -> Verdict:
     """Condition B: some value coprime to m.
 
@@ -200,79 +198,58 @@ VALUE_MODES = ("E", "F", "G", "Zm")
 
 
 def find_value_witness(f: NtFunction, m: int, mode: str,
-                       horizon: int = _DEFAULT_SCAN,
+                       horizon: int = SCAN_HORIZON,
                        config: WorkbenchConfig = DEFAULT_CONFIG) -> Verdict:
-    """Least-x witness scans for the value conditions E, F, G and for
-    plain membership of a value in Z_m^* (mode "Zm")."""
+    """Least-point witness scans for the value conditions E, F, G and for
+    plain membership of a value in Z_m^* (mode "Zm").  An empty scan is
+    a Fails only for univariate f, through an envelope or period
+    certificate, and only when no value ran over the bit budget."""
     if mode not in VALUE_MODES:
         raise InvalidArgument(f"mode must be one of {VALUE_MODES}")
     if m < 2:
         raise InvalidArgument("modulus must be >= 2")
     if mode == "G" and not is_prime(m, config):
         raise GRequiresPrime(f"{m} is not prime")
-    if f.arity != 1:
-        return _value_witness_multivar(f, m, mode, horizon, config)
+    if mode == "Zm":
+        accept = lambda v: 1 <= v < m and math.gcd(v, m) == 1
+    elif mode == "F":
+        accept = lambda v: v > 1 and v % m != 0
+    else:  # E, G: value exceeds 1 and is coprime to m
+        accept = lambda v: v > 1 and math.gcd(v % m, m) == 1
+    limit, proof = horizon, None
+    if f.arity == 1:
+        limit, proof = _value_certificate(f, m, mode, horizon, config)
+    scan = _Scan((f,), iter_points(f.arity, limit), accept, config)
+    for point, values in scan:
+        return Verdict(Status.HOLDS, Witness(point, values, m))
+    if proof is not None and scan.cut is None:
+        return proof
+    return Verdict(Status.UNKNOWN, horizon=horizon)
 
+
+def _value_certificate(f: NtFunction, m: int, mode: str, horizon: int,
+                       config: WorkbenchConfig) -> tuple[int, Verdict | None]:
+    """Scan limit for univariate f, and the Fails an empty scan up to
+    that limit proves (None when no certificate fits in the horizon)."""
     if mode == "Zm":
         env = envelope_outside_bound(f, m, config)
-        limit = horizon if env is None else min(horizon, env - 1)
-        for x in range(1, limit + 1):
-            v = evaluate(f, (x,), config=config)
-            if 1 <= v < m and math.gcd(v, m) == 1:
-                return Verdict(Status.HOLDS, Witness((x,), (v,), m))
-        if env is not None and env - 1 <= horizon:
-            return Verdict(Status.FAILS)
-        return Verdict(Status.UNKNOWN, horizon=horizon)
-
-    # E, F, G: value must exceed 1; coprimality (E, G) or indivisibility (F)
-    check_div = (mode == "F")
+        if env is None or env - 1 > horizon:
+            return horizon, None
+        return env - 1, Verdict(Status.FAILS)
     cert = exceeds_one_from(f, config)
-    period = None
-    if cert is not None:
-        x1, eventually_positive = cert
-        if not eventually_positive:
-            limit = min(horizon, x1 - 1)
-        else:
-            period = _residue_period(f, m if check_div else _radical(m, config), config)
-            limit = horizon if period is None else min(horizon, x1 + period - 1)
+    if cert is None:
+        return horizon, None
+    x1, eventually_positive = cert
+    if not eventually_positive:  # no value exceeds 1 from x1 on
+        end, proof = x1 - 1, Verdict(Status.FAILS)
     else:
-        limit = horizon
-    for x in range(1, limit + 1):
-        try:
-            v = evaluate(f, (x,), config=config)
-        except EvaluationBudgetExceeded:
-            break  # values beyond any practical witness report
-        if v <= 1:
-            continue
-        ok = (v % m != 0) if check_div else (math.gcd(v % m, m) == 1)
-        if ok:
-            return Verdict(Status.HOLDS, Witness((x,), (v,), m))
-    if cert is not None:
-        x1, eventually_positive = cert
-        if not eventually_positive and x1 - 1 <= horizon:
-            return Verdict(Status.FAILS)
-        if eventually_positive and period is not None and x1 + period - 1 <= horizon:
-            return Verdict(Status.FAILS, obstruction=m)
-    return Verdict(Status.UNKNOWN, horizon=horizon)
-
-
-def _value_witness_multivar(f: NtFunction, m: int, mode: str, horizon: int,
-                            config: WorkbenchConfig) -> Verdict:
-    for point in iter_points(f.arity, horizon):
-        try:
-            v = evaluate(f, point, config=config)
-        except EvaluationBudgetExceeded:
-            continue
-        if mode == "Zm":
-            if 1 <= v < m and math.gcd(v, m) == 1:
-                return Verdict(Status.HOLDS, Witness(point, (v,), m))
-        else:
-            if v <= 1:
-                continue
-            ok = (v % m != 0) if mode == "F" else (math.gcd(v % m, m) == 1)
-            if ok:
-                return Verdict(Status.HOLDS, Witness(point, (v,), m))
-    return Verdict(Status.UNKNOWN, horizon=horizon)
+        # values exceed 1 from x1 on; their residues repeat with period
+        period = _residue_period(f, m if mode == "F" else _radical(m, config),
+                                 config)
+        if period is None:
+            return horizon, None
+        end, proof = x1 + period - 1, Verdict(Status.FAILS, obstruction=m)
+    return (end, proof) if end <= horizon else (horizon, None)
 
 
 @dataclass(frozen=True)
@@ -289,7 +266,7 @@ class CoprimeSequence:
 
 
 def generate_coprime_sequence(f: NtFunction, count: int,
-                              horizon: int = _DEFAULT_SCAN,
+                              horizon: int = SCAN_HORIZON,
                               config: WorkbenchConfig = DEFAULT_CONFIG) -> CoprimeSequence:
     """Greedy condition-A witness: scan points in workbench order and
     keep each value > 1 that is coprime to everything kept so far."""
@@ -302,21 +279,19 @@ def generate_coprime_sequence(f: NtFunction, count: int,
         # beyond x1 every value is < 1: the sequence cannot grow there
         limit = min(horizon, cert[0] - 1)
         capped = cert[0] - 1 <= horizon
-    for point in iter_points(f.arity, limit):
-        try:
-            v = evaluate(f, point, config=config)
-        except EvaluationBudgetExceeded:
+    scan = _Scan((f,), iter_points(f.arity, limit),
+                 lambda v: v > 1 and math.gcd(v, product) == 1, config)
+    for point, (v,) in scan:
+        entries.append((point, v))
+        product *= v
+        if len(entries) == count:
             break
-        if v > 1 and math.gcd(v, product) == 1:
-            entries.append((point, v))
-            product *= v
-            if len(entries) == count:
-                break
-    return CoprimeSequence(count, tuple(entries), capped and len(entries) < count)
+    capped = capped and scan.cut is None and len(entries) < count
+    return CoprimeSequence(count, tuple(entries), capped)
 
 
 def check_system_conditions(fs: tuple[NtFunction, ...], m: int,
-                            horizon: int = _DEFAULT_SCAN,
+                            horizon: int = SCAN_HORIZON,
                             config: WorkbenchConfig = DEFAULT_CONFIG) -> Verdict:
     """Condition I for a system: least point where every member value
     exceeds 1 and the product of values is coprime to m.
@@ -334,21 +309,10 @@ def check_system_conditions(fs: tuple[NtFunction, ...], m: int,
         for p, _ in factorize(m, config).factors:
             if _poly_vanishes_everywhere(product_fn, p, config):
                 return Verdict(Status.FAILS, obstruction=p)
-    for point in iter_points(arity, horizon):
-        values = []
-        good = True
-        for g in fs:
-            try:
-                v = evaluate(g, point, config=config)
-            except EvaluationBudgetExceeded:
-                good = False
-                break
-            if v <= 1 or math.gcd(v % m, m) != 1:
-                good = False
-                break
-            values.append(v)
-        if good:
-            return Verdict(Status.HOLDS, Witness(point, tuple(values), m))
+    scan = _Scan(fs, iter_points(arity, horizon),
+                 lambda v: v > 1 and math.gcd(v % m, m) == 1, config)
+    for point, values in scan:
+        return Verdict(Status.HOLDS, Witness(point, values, m))
     return Verdict(Status.UNKNOWN, horizon=horizon)
 
 
@@ -372,7 +336,7 @@ class ConditionReport:
     coprime_sequence: CoprimeSequence
 
 
-def condition_report(f: NtFunction, m: int, horizon: int = _DEFAULT_SCAN,
+def condition_report(f: NtFunction, m: int, horizon: int = SCAN_HORIZON,
                      config: WorkbenchConfig = DEFAULT_CONFIG) -> ConditionReport:
     """One-stop report for a single function against one modulus.
 

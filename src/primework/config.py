@@ -13,6 +13,12 @@ from dataclasses import dataclass, replace
 
 ENV_VAR = "WORKBENCH_CONFIG"
 
+# Default horizon of the point searches (witnesses, conditions, probes):
+# points per axis, overridden by an explicit horizon argument (the CLI's
+# --horizon).  config.horizon bounds the AP progressions and the
+# fallback boxes of Phi and Pi instead.
+SCAN_HORIZON = 10**4
+
 
 @dataclass(frozen=True)
 class WorkbenchConfig:

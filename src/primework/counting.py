@@ -14,13 +14,13 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .analysis import envelope_outside_bound, is_identity
+from .analysis import (_required_side, _Scan, envelope_outside_bound,
+                       is_identity)
 from .arith import factor_with_table, factorize, smallest_factor_table
-from .config import DEFAULT_CONFIG, WorkbenchConfig
+from .config import DEFAULT_CONFIG, SCAN_HORIZON, WorkbenchConfig
 from .conditions import Status, find_value_witness
-from .errors import (CapExceeded, DomainError, EvaluationBudgetExceeded,
-                     EvaluationError, InvalidArgument)
-from .expr import FunctionSystem, NtFunction, evaluate
+from .errors import CapExceeded, InvalidArgument
+from .expr import FunctionSystem, NtFunction
 
 
 @dataclass(frozen=True)
@@ -43,18 +43,6 @@ class PiResult:
 def _fallback_side(k: int, config: WorkbenchConfig) -> int:
     # keep the point count near the horizon when no envelope exists
     return max(1, int(round(config.horizon ** (1.0 / k))))
-
-
-def _required_side(fs: FunctionSystem, bound: int,
-                   config: WorkbenchConfig) -> int | None:
-    """Side beyond which some member provably leaves [1, bound-1],
-    killing every tuple; None when no member has an envelope."""
-    best = None
-    for f in fs:
-        x = envelope_outside_bound(f, bound, config)
-        if x is not None and (best is None or x < best):
-            best = x
-    return None if best is None else best - 1
 
 
 def phi_general(fs: FunctionSystem, n: int, box: int | None = None,
@@ -80,23 +68,12 @@ def phi_general(fs: FunctionSystem, n: int, box: int | None = None,
         return PhiResult(n, count, side, exact)
 
     single = len(fs) == 1
-    seen: set = set()
-    for point in itertools.product(range(1, side + 1), repeat=k):
-        vals = []
-        ok = True
-        for f in fs:
-            try:
-                v = evaluate(f, point, config=config)
-            except (DomainError, EvaluationError, EvaluationBudgetExceeded):
-                ok = False
-                break
-            if not (1 <= v < n and math.gcd(v, n) == 1):
-                ok = False
-                break
-            vals.append(v)
-        if ok:
-            seen.add(vals[0] if single else tuple(vals))
-    return PhiResult(n, len(seen), side, exact)
+    # past the required side some member leaves [1, n-1]: nothing counts
+    scanned = required if exact else side
+    scan = _Scan(fs, itertools.product(range(1, scanned + 1), repeat=k),
+                 lambda v: 1 <= v < n and math.gcd(v, n) == 1, config)
+    seen = {vals[0] if single else vals for _, vals in scan}
+    return PhiResult(n, len(seen), side, exact and scan.cut is None)
 
 
 def _distinct_values(f: NtFunction, x: int,
@@ -110,15 +87,10 @@ def _distinct_values(f: NtFunction, x: int,
         side, complete = env - 1, True
     else:
         side, complete = _fallback_side(f.arity, config), False
-    values: set[int] = set()
-    for point in itertools.product(range(1, side + 1), repeat=f.arity):
-        try:
-            v = evaluate(f, point, config=config)
-        except (DomainError, EvaluationError, EvaluationBudgetExceeded):
-            continue
-        if 1 < v <= x:
-            values.add(v)
-    return values, complete
+    scan = _Scan((f,), itertools.product(range(1, side + 1), repeat=f.arity),
+                 lambda v: 1 < v <= x, config)
+    values = {v for _, (v,) in scan}
+    return values, complete and scan.cut is None
 
 
 def _supports(values: list[int],
@@ -231,7 +203,7 @@ def implication_check(f: NtFunction, m_range: tuple[int, int],
         omega_m = len(factor_with_table(m, spf))
         if pi.value <= omega_m:
             continue
-        verdict = find_value_witness(f, m, "Zm", horizon=10**4, config=config)
+        verdict = find_value_witness(f, m, "Zm", SCAN_HORIZON, config)
         if verdict.status is not Status.HOLDS:
             violations.append({
                 "m": m,

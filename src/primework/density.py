@@ -20,12 +20,12 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .analysis import classify, univariate_coeffs
+from .analysis import _Scan, classify, iter_points, univariate_coeffs
 from .arith import is_prime, sieve_primes
 from .config import DEFAULT_CONFIG, WorkbenchConfig
-from .errors import (DomainError, EvaluationBudgetExceeded, EvaluationError,
-                     InvalidArgument, NotCoprime, NotUnivariatePolynomial)
-from .expr import FunctionSystem, NtFunction, evaluate
+from .errors import (EvaluationBudgetExceeded, InvalidArgument, NotCoprime,
+                     NotUnivariatePolynomial)
+from .expr import FunctionSystem, NtFunction
 
 
 def _require_univariate_polys(fs: FunctionSystem,
@@ -241,23 +241,13 @@ def actual_count(fs: FunctionSystem, m: int,
     """Exact number of 1 <= n <= m with every f_i(n) prime."""
     if any(f.arity != 1 for f in fs):
         raise InvalidArgument("actual_count scans univariate systems")
-    rows = []
-    top = 0
-    for n in range(1, m + 1):
-        vals = []
-        for f in fs:
-            try:
-                v = evaluate(f, (n,), config=config)
-            except (DomainError, EvaluationError, EvaluationBudgetExceeded):
-                vals = None
-                break
-            if v < 2:
-                vals = None
-                break
-            vals.append(v)
-        rows.append(vals)
-        if vals:
-            top = max(top, *vals)
+    scan = _Scan(fs, iter_points(1, m), lambda v: v >= 2, config)
+    rows = [vals for _, vals in scan]
+    if scan.cut is not None:
+        # no Unknown outcome here: an unevaluated n is not "not prime"
+        raise EvaluationBudgetExceeded(
+            f"a value at n={scan.cut[0]} exceeds the bit budget")
+    top = max((v for vals in rows for v in vals), default=0)
     if top and top <= 10**7:
         composite = bytearray(top + 1)
         for p in sieve_primes(int(math.isqrt(top)), config):
@@ -267,7 +257,7 @@ def actual_count(fs: FunctionSystem, m: int,
     else:
         def prime(v: int) -> bool:
             return is_prime(v, config)
-    return sum(1 for vals in rows if vals and all(prime(v) for v in vals))
+    return sum(1 for vals in rows if all(prime(v) for v in vals))
 
 
 def dlvp_ratio(a: int, b: int, x: int,

@@ -384,7 +384,7 @@ def _eval_plain(node: Node, point: tuple[int, ...], budget: int | None) -> int:
         exp = _eval_plain(node.exponent, point, budget)
         if exp < 0:
             raise EvaluationError("negative exponent")
-        if _max_var(node.exponent) and base < 1:
+        if base < 1 and _max_var(node.exponent):  # cheap test first
             raise EvaluationError("variable exponent needs base >= 1")
         if budget is not None and abs(base) >= 2:
             # base^exp has at least exp*(bits(base)-1) bits

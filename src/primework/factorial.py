@@ -13,12 +13,11 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .analysis import envelope_outside_bound, iter_points, traits
+from .analysis import _Scan, envelope_outside_bound, iter_points, traits
 from .arith import is_prime, sieve_primes
-from .config import DEFAULT_CONFIG, WorkbenchConfig
-from .errors import (DomainError, EvaluationBudgetExceeded, EvaluationError,
-                     InvalidArgument)
-from .expr import FunctionSystem, NtFunction, evaluate
+from .config import DEFAULT_CONFIG, SCAN_HORIZON, WorkbenchConfig
+from .errors import InvalidArgument
+from .expr import FunctionSystem, NtFunction
 
 
 @lru_cache(maxsize=64)
@@ -66,31 +65,21 @@ class FactorialWitness:
     least_value_prime: bool
 
 
-def least_factorial_witness(fs: FunctionSystem, l: int, horizon: int = 10**4,
+def least_factorial_witness(fs: FunctionSystem, l: int,
+                            horizon: int = SCAN_HORIZON,
                             config: WorkbenchConfig = DEFAULT_CONFIG,
                             ) -> FactorialWitness | None:
     """Least point where every member value exceeds 1, has no prime
     factor <= l, and stays below l!."""
     if l < 2:
         raise InvalidArgument("l must be at least 2")
-    k = fs[0].arity
-    for point in iter_points(k, horizon):
-        vals = []
-        for f in fs:
-            try:
-                v = evaluate(f, point, config=config)
-            except (DomainError, EvaluationError, EvaluationBudgetExceeded):
-                vals = None
-                break
-            if not in_factorial_zm(v, l, config):
-                vals = None
-                break
-            vals.append(v)
-        if vals:
-            return FactorialWitness(
-                l, point, tuple(vals),
-                all(is_prime(v, config) for v in vals),
-                is_prime(min(vals), config))
+    scan = _Scan(fs, iter_points(fs[0].arity, horizon),
+                 lambda v: in_factorial_zm(v, l, config), config)
+    for point, vals in scan:
+        return FactorialWitness(
+            l, point, vals,
+            all(is_prime(v, config) for v in vals),
+            is_prime(min(vals), config))
     return None
 
 
@@ -114,31 +103,32 @@ class ProbeReport:
     prime_fraction: float | None = None
 
 
-def _least_value_in_zm(f: NtFunction, m: int, horizon: int,
-                       config: WorkbenchConfig) -> tuple[int, int] | None:
-    """Least value of f strictly between 1 and m and coprime to m,
-    argument-lexicographic tie-break; returns (value, argument)."""
+def _values_in_zm(f: NtFunction, m: int, horizon: int,
+                  config: WorkbenchConfig) -> tuple[int, int, int] | None:
+    """Values of f strictly between 1 and m and coprime to m: the least
+    one, its least argument, and the value at the least argument."""
     nondec = traits(f.body).nondec
     if nondec:
         limit = horizon
     else:
+        # beyond the envelope no value lies in [1, m-1]
         env = envelope_outside_bound(f, m, config)
         limit = min(horizon, env - 1) if env is not None else horizon
-    best: tuple[int, int] | None = None
-    for x in range(1, limit + 1):
-        try:
-            v = evaluate(f, (x,), config=config)
-        except (DomainError, EvaluationError, EvaluationBudgetExceeded):
-            continue
-        if 1 < v < m and math.gcd(v, m) == 1:
+    best: tuple[int, int, int] | None = None
+    scan = _Scan((f,), iter_points(1, limit),
+                 lambda v: 1 < v < m and math.gcd(v, m) == 1, config)
+    for (x,), (v,) in scan:
+        if best is None:
+            best = (v, x, v)
             if nondec:
-                return v, x  # later values cannot be smaller
-            if best is None or v < best[0]:
-                best = (v, x)
+                break  # later values cannot be smaller
+        elif v < best[0]:
+            best = (v, x, best[2])
     return best
 
 
-def prop3_scan(f: NtFunction, m_range: tuple[int, int], horizon: int = 10**4,
+def prop3_scan(f: NtFunction, m_range: tuple[int, int],
+               horizon: int = SCAN_HORIZON,
                config: WorkbenchConfig = DEFAULT_CONFIG) -> ProbeReport:
     """Per modulus: the least f-value inside Z_m^*, its primality, and
     whether value-least and argument-least disagree.  The fraction of
@@ -152,15 +142,14 @@ def prop3_scan(f: NtFunction, m_range: tuple[int, int], horizon: int = 10**4,
     violations = []
     found = prime_hits = 0
     for m in range(lo, hi + 1):
-        hit = _least_value_in_zm(f, m, horizon, config)
+        hit = _values_in_zm(f, m, horizon, config)
         if hit is None:
             entries.append(Prop3Entry(m, None, None, None, None, False))
             continue
-        value, arg = hit
-        first = _first_value_in_zm(f, m, horizon, config)
+        value, arg, first = hit
         prime = is_prime(value, config)
         entries.append(Prop3Entry(m, value, arg, prime, first,
-                                  first is not None and first != value))
+                                  first != value))
         found += 1
         if prime:
             prime_hits += 1
@@ -169,19 +158,6 @@ def prop3_scan(f: NtFunction, m_range: tuple[int, int], horizon: int = 10**4,
     fraction = prime_hits / found if found else None
     return ProbeReport(lo, hi, tuple(entries), tuple(violations),
                        prime_fraction=fraction)
-
-
-def _first_value_in_zm(f: NtFunction, m: int, horizon: int,
-                       config: WorkbenchConfig) -> int | None:
-    """Value at the argument-least qualifying x (scan order)."""
-    for x in range(1, horizon + 1):
-        try:
-            v = evaluate(f, (x,), config=config)
-        except (DomainError, EvaluationError, EvaluationBudgetExceeded):
-            continue
-        if 1 < v < m and math.gcd(v, m) == 1:
-            return v
-    return None
 
 
 def _estimate_r(present: list[bool], lo: int) -> int | None:
@@ -195,7 +171,7 @@ def _estimate_r(present: list[bool], lo: int) -> int | None:
 
 
 def conjecture3_probe(fs: FunctionSystem, l_range: tuple[int, int],
-                      horizon: int = 10**4,
+                      horizon: int = SCAN_HORIZON,
                       config: WorkbenchConfig = DEFAULT_CONFIG) -> ProbeReport:
     """Least witness per factorial index l; violations are l whose
     witness carries a composite value."""
@@ -215,7 +191,7 @@ def conjecture3_probe(fs: FunctionSystem, l_range: tuple[int, int],
 
 
 def section9_probe(fs: FunctionSystem, m_range: tuple[int, int],
-                   horizon: int = 10**4,
+                   horizon: int = SCAN_HORIZON,
                    config: WorkbenchConfig = DEFAULT_CONFIG,
                    factorial_base=None) -> ProbeReport:
     """Per index m: hunt a point whose values are simultaneously prime
@@ -231,23 +207,12 @@ def section9_probe(fs: FunctionSystem, m_range: tuple[int, int],
     for m in range(lo, hi + 1):
         l = base(m)
         found = None
-        for point in iter_points(k, horizon):
-            vals = []
-            for f in fs:
-                try:
-                    v = evaluate(f, point, config=config)
-                except (DomainError, EvaluationError,
-                        EvaluationBudgetExceeded):
-                    vals = None
-                    break
-                if not (in_factorial_zm(v, l, config)
-                        and is_prime(v, config)):
-                    vals = None
-                    break
-                vals.append(v)
-            if vals:
-                found = FactorialWitness(l, point, tuple(vals), True, True)
-                break
+        scan = _Scan(fs, iter_points(k, horizon),
+                     lambda v: in_factorial_zm(v, l, config)
+                     and is_prime(v, config), config)
+        for point, vals in scan:
+            found = FactorialWitness(l, point, vals, True, True)
+            break
         entries.append(found)
         if found is None:
             violations.append(m)

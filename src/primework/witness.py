@@ -17,7 +17,7 @@ from .analysis import (classify, compile_plain, is_fermat_shape, is_identity,
 from .arith import (euler_phi_range, factorize, multiplicative_order,
                     smallest_factor_table)
 from .conditions import Status, check_system_conditions, find_value_witness
-from .config import DEFAULT_CONFIG, WorkbenchConfig
+from .config import DEFAULT_CONFIG, SCAN_HORIZON, WorkbenchConfig
 from .errors import BoundFunctionMismatch, InvalidArgument
 from .expr import NtFunction, evaluate_mod, parse_function
 
@@ -30,7 +30,7 @@ class LeastWitnessRecord:
     conclusive: bool
 
 
-def s_f(f: NtFunction, m: int, horizon: int = 10**4,
+def s_f(f: NtFunction, m: int, horizon: int = SCAN_HORIZON,
         config: WorkbenchConfig = DEFAULT_CONFIG) -> LeastWitnessRecord:
     """Least witness for one function.
 
@@ -80,15 +80,8 @@ def _mersenne_least(m: int, horizon: int, config: WorkbenchConfig,
     return None
 
 
-def s_f_mersenne_scan(m: int, horizon: int = 10**4) -> int | None:
-    """Plain gcd scan for S of 2^x - 1; slow route kept as cross-check."""
-    for n in range(2, horizon + 1):
-        if math.gcd((pow(2, n, m) - 1) % m, m) == 1:
-            return n
-    return None
-
-
-def s_system(fs: tuple[NtFunction, ...], m: int, horizon: int = 10**4,
+def s_system(fs: tuple[NtFunction, ...], m: int,
+             horizon: int = SCAN_HORIZON,
              config: WorkbenchConfig = DEFAULT_CONFIG) -> LeastWitnessRecord:
     """Least point where every member value exceeds 1 and is coprime to m."""
     verdict = check_system_conditions(fs, m, horizon, config)

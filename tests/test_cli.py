@@ -131,6 +131,23 @@ def test_config_file_via_environment(capsys, tmp_path, monkeypatch):
     assert json.loads(out)["config"]["seed"] == 3
 
 
+def test_over_budget_value_scan_is_unknown(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "tight.conf"
+    path.write_text("bit_budget = 6\n")
+    monkeypatch.setenv("WORKBENCH_CONFIG", str(path))
+    code, out, _ = run(capsys, "conditions", "-f", "2^x-1",
+                       "--modulus", "3255")
+    assert code == 2
+    assert "E: unknown  horizon=10000" in out.splitlines()
+    assert "fails" not in out
+
+
+def test_sfm_skips_undefined_points(capsys):
+    code, out, _ = run(capsys, "sfm", "-f", "2^(x-2)+1", "--modulus", "10")
+    assert code == 0
+    assert out == "least witness: x=3  values: 3 (prime)\n"
+
+
 def test_strict_positive_n_flag(capsys):
     code, out, _ = run(capsys, "ap", "--limit", "4", "--json")
     assert code == 0

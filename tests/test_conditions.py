@@ -181,3 +181,38 @@ def test_condition_report_fixed_divisor():
     rep = condition_report(parse_function("x^2+x"), 2)
     assert rep.verdicts["B"].status is Status.FAILS
     assert rep.verdicts["D"].status is Status.FAILS
+
+
+def test_value_witness_over_budget_is_unknown_not_fails():
+    # 127 = f(7) is coprime to 3255, but 2^7 needs 8 bits: the scan is
+    # cut at x = 6, so the period certificate proves nothing
+    f = parse_function("2^x-1")
+    tight = DEFAULT_CONFIG.with_overrides(bit_budget=6)
+    v = find_value_witness(f, 3255, "E", config=tight)
+    assert v.status is Status.UNKNOWN and v.horizon == 10**4
+    assert find_value_witness(f, 3255, "E").witness.point == (7,)
+    # F: f(3) = 7 is not divisible by 3; 2^2 already needs 3 bits
+    tighter = DEFAULT_CONFIG.with_overrides(bit_budget=2)
+    v = find_value_witness(f, 3, "F", config=tighter)
+    assert v.status is Status.UNKNOWN and v.horizon == 10**4
+    assert find_value_witness(f, 3, "F").witness.point == (3,)
+
+
+def test_coprime_sequence_not_capped_after_budget_cut():
+    f = parse_function("piecewise(x <= 1: 2, x <= 2: 2^20, x <= 3: 3, else: 0)")
+    seq = generate_coprime_sequence(f, 2)
+    assert [v for _, v in seq.entries] == [2, 3]
+    tight = DEFAULT_CONFIG.with_overrides(bit_budget=8)
+    seq = generate_coprime_sequence(f, 2, config=tight)
+    assert seq.achieved == 1 and not seq.capped
+
+
+def test_undefined_points_are_skipped():
+    f = parse_function("2^(x-2)+1")  # no value at x = 1
+    v = find_value_witness(f, 10, "E")
+    assert v.status is Status.HOLDS
+    assert v.witness.point == (3,) and v.witness.values == (3,)
+    seq = generate_coprime_sequence(f, 3)
+    assert [p for p, _ in seq.entries] == [(2,), (3,), (4,)]
+    v = check_system_conditions((f, parse_function("x+2")), 15)
+    assert v.witness.point == (2,) and v.witness.values == (2, 4)

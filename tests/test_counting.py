@@ -113,3 +113,28 @@ def test_implication_identity_empty():
 def test_implication_small_corpus_empty():
     for text in ("x^2+1", "x^3+1", "2*x+1"):
         assert implication_check(parse_function(text), (2, 40)) == [], text
+
+
+def test_phi_budget_cut_is_not_exact():
+    f = parse_function("x^2+1")
+    full = phi_general((f,), 1000)
+    assert full.exact
+    # 6^2 + 1 = 37 needs 6 bits: the scan stops inside the envelope box
+    tight = DEFAULT_CONFIG.with_overrides(bit_budget=5)
+    res = phi_general((f,), 1000, config=tight)
+    assert not res.exact and res.box == full.box
+
+
+def test_phi_box_past_the_envelope_stays_exact():
+    # F(x) for x >= 25 is over the bit budget, but the envelope already
+    # rules out every x >= 4 mod 97, so the box past it is not scanned
+    f = parse_function("2^(2^x)+1")
+    res = phi_general((f,), 97, box=30)
+    assert res.exact and res.box == 30 and res.count == 2
+
+
+def test_pi_budget_cut_is_not_complete():
+    f = parse_function("x^2+1")
+    assert pi_general_exact(f, 500).enumeration_complete
+    tight = DEFAULT_CONFIG.with_overrides(bit_budget=5)
+    assert not pi_general_exact(f, 500, config=tight).enumeration_complete

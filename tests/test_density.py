@@ -12,8 +12,8 @@ from primework.density import (_root_counter, actual_count,
                                ap_product_inequality, bateman_horn_constant,
                                density_estimate, dlvp_ratio, least_prime_ap,
                                omega_p, predicted_count)
-from primework.errors import (InvalidArgument, NotCoprime,
-                              NotUnivariatePolynomial)
+from primework.errors import (EvaluationBudgetExceeded, InvalidArgument,
+                              NotCoprime, NotUnivariatePolynomial)
 from primework.expr import parse_function, parse_system
 
 
@@ -246,3 +246,12 @@ def test_density_estimate_reuses_one_constant():
         == (pred.sum_form, pred.closed_form)
     assert est.omega_sample == tuple((p, omega_p(fs, p))
                                      for p in sieve_primes(100))
+
+
+def test_actual_count_raises_on_over_budget_values():
+    fs = parse_system("2^x+1")
+    assert actual_count(fs, 40) == 5  # 3, 5, 17, 257, 65537
+    # 2^16 needs 17 bits: n = 16 has no value to test, not a composite one
+    tight = DEFAULT_CONFIG.with_overrides(bit_budget=16)
+    with pytest.raises(EvaluationBudgetExceeded):
+        actual_count(fs, 40, tight)

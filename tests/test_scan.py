@@ -1,0 +1,163 @@
+"""The exact point searches against a plain loop over the same points.
+
+Seeded random shapes (univariate polynomials, c*b^x+d, c*b^(x-k)+d with
+no value below x = k, piecewise, two-variable polynomials) and moduli
+up to 300.  Each shape carries its own Python evaluator, so the brute
+force shares nothing with the library but the parser.
+"""
+
+import itertools
+import math
+import random
+
+from primework.conditions import (Status, check_system_conditions,
+                                  find_value_witness)
+from primework.expr import evaluate, parse_function
+from primework.factorial import least_factorial_witness
+
+HORIZON = {1: 300, 2: 20}  # points per axis
+# a Fails must hold well past the horizon the certificate fitted into
+FAILS_REACH = {1: 1000, 2: 40}
+
+
+def _poly1(rng):
+    coeffs = [rng.randint(-6, 6) for _ in range(rng.randint(2, 4))]
+    coeffs[-1] = coeffs[-1] or rng.choice((-2, -1, 1, 2))
+    text = " + ".join(f"({c})*x^{i}" for i, c in enumerate(coeffs))
+    return text, lambda x: sum(c * x**i for i, c in enumerate(coeffs))
+
+
+def _exp(rng):
+    c = rng.choice((-3, -2, -1, 1, 2, 3))
+    b, d = rng.randint(2, 6), rng.randint(-8, 8)
+    return f"{c}*{b}^x+({d})", lambda x: c * b**x + d
+
+
+def _shifted_exp(rng):
+    c, b = rng.randint(1, 3), rng.randint(2, 5)
+    k, d = rng.randint(1, 3), rng.randint(-8, 8)
+    return (f"{c}*{b}^(x-{k})+({d})",
+            lambda x: None if x < k else c * b**(x - k) + d)
+
+
+def _piecewise(rng):
+    a = rng.randint(1, 6)
+    b = a + rng.randint(1, 8)
+    c1, c2 = rng.randint(-3, 12), rng.randint(-3, 12)
+    tail_text, tail = _poly1(rng)
+    return (f"piecewise(x <= {a}: {c1}, x <= {b}: {c2}, else: {tail_text})",
+            lambda x: c1 if x <= a else (c2 if x <= b else tail(x)))
+
+
+def _poly2(rng):
+    terms = [(rng.randint(-4, 4), i, j)
+             for i in range(3) for j in range(3) if rng.random() < 0.5]
+    terms.append((rng.randint(1, 3), rng.randint(0, 2), 1))  # depends on y
+    text = " + ".join(f"({c})*x^{i}*y^{j}" for c, i, j in terms)
+    return text, lambda x, y: sum(c * x**i * y**j for c, i, j in terms)
+
+
+UNIVARIATE = (_poly1, _exp, _shifted_exp, _piecewise)
+
+
+def _shape(rng, draw):
+    text, fn = draw(rng)
+    arity = 2 if draw is _poly2 else 1
+    return parse_function(text, arity=arity), fn
+
+
+def _least(fns, k, horizon, ok):
+    """Least point of [1, horizon]^k in max-norm-then-lexicographic
+    order where every fn has a value and ok accepts it."""
+    points = sorted(itertools.product(range(1, horizon + 1), repeat=k),
+                    key=lambda p: (max(p), p))
+    for p in points:
+        values = tuple(fn(*p) for fn in fns)
+        if all(v is not None and ok(v) for v in values):
+            return p, values
+    return None
+
+
+def _check(fs, fns, k, verdict_point, verdict_values, status, ok):
+    """A witness is the brute-force least point and re-evaluates to its
+    values; a Fails has no witness far past the horizon; an Unknown
+    has none within it."""
+    brute = _least(fns, k, HORIZON[k], ok)
+    if status is Status.HOLDS:
+        assert (verdict_point, verdict_values) == brute
+        assert tuple(evaluate(f, verdict_point) for f in fs) == verdict_values
+    elif status is Status.FAILS:
+        assert _least(fns, k, FAILS_REACH[k], ok) is None
+    else:
+        assert brute is None
+
+
+def _value_tests(m):
+    return {"E": lambda v: v > 1 and math.gcd(v, m) == 1,
+            "F": lambda v: v > 1 and v % m != 0,
+            "Zm": lambda v: 1 <= v < m and math.gcd(v, m) == 1}
+
+
+def test_value_witness_matches_brute_force():
+    rng = random.Random(20261018)
+    seen = set()
+    for _ in range(160):
+        draw = rng.choice(UNIVARIATE + (_poly2,))
+        f, fn = _shape(rng, draw)
+        k = f.arity
+        m = rng.randint(2, 300)
+        for mode, ok in _value_tests(m).items():
+            if mode == "Zm" and draw is _shifted_exp:
+                # the Zm envelope probes every x from 1 and still raises
+                # where f has no value
+                continue
+            v = find_value_witness(f, m, mode, HORIZON[k])
+            seen.add((mode, v.status))
+            w = v.witness
+            _check((f,), (fn,), k, w and w.point, w and w.values,
+                   v.status, ok)
+    # the sample reaches every outcome of every mode
+    assert seen == {(mode, s) for mode in ("E", "F", "Zm") for s in Status}
+
+
+def test_system_conditions_match_brute_force():
+    rng = random.Random(7)
+    seen = set()
+    for _ in range(120):
+        if rng.random() < 0.3:
+            shapes = [_shape(rng, _poly2) for _ in range(2)]
+        else:
+            shapes = [_shape(rng, rng.choice(UNIVARIATE)) for _ in range(2)]
+        fs = tuple(f for f, _ in shapes)
+        k = fs[0].arity
+        m = rng.randint(2, 300)
+        v = check_system_conditions(fs, m, HORIZON[k])
+        seen.add(v.status)
+        w = v.witness
+        _check(fs, [fn for _, fn in shapes], k, w and w.point,
+               w and w.values, v.status,
+               lambda x: x > 1 and math.gcd(x, m) == 1)
+    assert seen == set(Status)
+
+
+def test_least_factorial_witness_matches_brute_force():
+    rng = random.Random(11)
+    found = 0
+    for _ in range(120):
+        shapes = [_shape(rng, rng.choice(UNIVARIATE))
+                  for _ in range(rng.randint(1, 2))]
+        fs = tuple(f for f, _ in shapes)
+        l = rng.randint(2, 7)
+        bound = math.factorial(l)
+        primes = [p for p in range(2, l + 1)
+                  if all(p % q for q in range(2, p))]
+        w = least_factorial_witness(fs, l, HORIZON[1])
+        brute = _least([fn for _, fn in shapes], 1, HORIZON[1],
+                       lambda v: 1 < v < bound and all(v % p for p in primes))
+        if w is None:
+            assert brute is None
+        else:
+            found += 1
+            assert (w.point, w.values) == brute
+            assert tuple(evaluate(f, w.point) for f in fs) == w.values
+    assert found

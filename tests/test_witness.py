@@ -9,8 +9,16 @@ from primework.arith import is_prime
 from primework.config import DEFAULT_CONFIG
 from primework.errors import BoundFunctionMismatch
 from primework.expr import parse_function, parse_system
-from primework.witness import (exponent_identity_check, s_f,
-                               s_f_mersenne_scan, s_system, verify_bound)
+from primework.witness import (exponent_identity_check, s_f, s_system,
+                               verify_bound)
+
+
+def s_f_mersenne_scan(m):
+    """Plain gcd scan for S of 2^x - 1: the oracle for the order route."""
+    for n in range(2, 10**4 + 1):
+        if math.gcd((pow(2, n, m) - 1) % m, m) == 1:
+            return n
+    return None
 
 
 def test_mersenne_least_witness_82677():
