@@ -355,6 +355,14 @@ def envelope_outside_bound(f: NtFunction, m: int,
             worst = max(worst, th)
         else:
             return worst
+    shape = exp_linear_shape(f)
+    if shape is not None and shape[0] < 0:
+        # c*b^x + d with c < 0 strictly decreases: once below 1, it stays
+        c, b, d = shape
+        x = 1
+        while c * b**x + d >= 1:
+            x += 1
+        return x
     if isinstance(body, Piecewise) and f.arity == 1:
         tail = NtFunction(1, body.default)
         tail_bound = envelope_outside_bound(tail, m, config)

@@ -1,13 +1,17 @@
 """Core integer arithmetic: primality, factoring, sieving, phi, CRT.
 
 Everything here is deterministic for a fixed config.  Primality is a
-Miller-Rabin test with a fixed witness set that is exhaustive below
-3.3e24; beyond that the same witnesses plus seeded extra rounds are
-used and the result is flagged probable rather than proven.
+Miller-Rabin test over a prefix of the first thirteen prime bases:
+below psi_13 = 3.3e24 it runs the shortest prefix the table of least
+strong pseudoprimes proves exact for n, so every verdict there is
+proven; beyond it all thirteen bases plus seeded extra rounds are used
+and the result is flagged probable rather than proven.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -15,14 +19,22 @@ from .config import DEFAULT_CONFIG, WorkbenchConfig
 from .errors import (FactoringBudgetExceeded, InvalidArgument,
                      MemoryBudgetExceeded, ModuliNotCoprime, NotCoprime)
 
-# Witness set deterministic for n < 3,317,044,064,679,887,385,961,981
-# (first twelve primes; Sorenson-Webster).
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_DETERMINISTIC_BELOW = 3_317_044_064_679_887_385_961_981
+# psi_k, the least strong pseudoprime to the first k prime bases (OEIS
+# A014233; psi_12 and psi_13 by Sorenson and Webster, Math. Comp. 86,
+# 2017): for n < _MR_PSI[i] the first _MR_PREFIX[i] bases decide n
+# exactly.  psi_8 = psi_7 and psi_9 = psi_10 = psi_11, so 8, 10 and 11
+# bases are never the least that suffice; past psi_13 all 13 are used.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_PSI = (2_047, 1_373_653, 25_326_001, 3_215_031_751, 2_152_302_898_747,
+           3_474_749_660_383, 341_550_071_728_321, 3_825_123_056_546_413_051,
+           318_665_857_834_031_151_167_461, 3_317_044_064_679_887_385_961_981)
+_MR_PREFIX = (1, 2, 3, 4, 5, 6, 7, 9, 12, 13, 13)
+_MR_DETERMINISTIC_BELOW = _MR_PSI[-1]
 
 _SMALL_PRIME_LIMIT = 1000
 _small_primes: list[int] = []
 _small_prime_set: frozenset[int] = frozenset()
+_trial_product = 1  # product of the first 30 primes, 2..113
 
 
 def _flat_sieve(limit: int) -> list[int]:
@@ -34,14 +46,15 @@ def _flat_sieve(limit: int) -> list[int]:
     for i in range(2, math.isqrt(limit) + 1):
         if bs[i]:
             bs[i * i :: i] = bytearray(len(range(i * i, limit + 1, i)))
-    return [i for i in range(limit + 1) if bs[i]]
+    return list(itertools.compress(range(limit + 1), bs))
 
 
 def _ensure_small_primes():
-    global _small_primes, _small_prime_set
+    global _small_primes, _small_prime_set, _trial_product
     if not _small_primes:
         _small_primes = _flat_sieve(_SMALL_PRIME_LIMIT)
         _small_prime_set = frozenset(_small_primes)
+        _trial_product = math.prod(_small_primes[:30])
 
 
 @dataclass(frozen=True)
@@ -70,15 +83,14 @@ def primality(n: int, config: WorkbenchConfig = DEFAULT_CONFIG) -> PrimalityResu
     _ensure_small_primes()
     if n <= _SMALL_PRIME_LIMIT:
         return PrimalityResult(n, n in _small_prime_set, True)
-    for p in _small_primes[:30]:
-        if n % p == 0:
-            return PrimalityResult(n, False, True)
+    if math.gcd(n, _trial_product) != 1:
+        return PrimalityResult(n, False, True)
     d = n - 1
     s = 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_WITNESSES:
+    for a in _MR_WITNESSES[:_MR_PREFIX[bisect.bisect_right(_MR_PSI, n)]]:
         if not _mr_round(n, a, d, s):
             return PrimalityResult(n, False, True)
     if n < _MR_DETERMINISTIC_BELOW:
@@ -249,7 +261,7 @@ def sieve_primes(limit: int, config: WorkbenchConfig = DEFAULT_CONFIG) -> list[i
                 break
             start = max(p * p, (lo + p - 1) // p * p)
             seg[start - lo :: p] = bytearray(len(range(start, hi + 1, p)))
-        out.extend(i + lo for i, flag in enumerate(seg) if flag)
+        out.extend(itertools.compress(range(lo, hi + 1), seg))
         lo = hi + 1
     return out
 

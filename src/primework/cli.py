@@ -231,6 +231,9 @@ def _cmd_ap(args, config):
     if args.a is not None or args.b is not None:
         _require(args, "a", "b", "limit")
         rep = ap_product_inequality(args.a, args.b, args.limit, config)
+        if rep.c_star is None:
+            return ({"report": rep}, False,
+                    [f"unknown  horizon={config.horizon}"], True)
         lines = [f"violations up to n={args.limit}: "
                  f"{list(rep.violations) or 'none'}",
                  f"holds for all n > {rep.c_star}"]
@@ -241,6 +244,9 @@ def _cmd_ap(args, config):
     table = least_prime_ap(k, config)
     lines = [f"modulus {table.k}:"]
     lines += [f"  l={l}  least prime: {p}" for l, p in table.entries]
+    if table.p_k is None:
+        lines.append(f"unknown  horizon={config.horizon}")
+        return ({"table": table}, False, lines, True)
     lines.append(f"growth exponent estimate: {table.empirical_exponent:.3f}")
     return ({"table": table}, True, lines, True)
 

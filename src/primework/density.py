@@ -12,11 +12,18 @@ and multiplied out a single time, and one root counter serves every
 prime up to the cutoff.  The primes come from the sieve, so they are not
 tested for primality again; only the public omega_p, which takes an
 arbitrary p, checks it.
+
+The counter forms E = 2 * lc(P) * Res(P, P') once, the resultant of the
+product P and its derivative taken exactly by Bareiss elimination.  For
+p not dividing E, P is squarefree of full degree mod p, so omega(p) is a
+sum over the members: 1 for a linear member, 1 + (D/p) for a quadratic
+one of discriminant D, and deg gcd(x^p - x, f mod p) for a member f of
+degree 3 or more.  The finitely many p dividing E, and every p when
+E = 0, count the roots of P itself by that gcd.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -126,26 +133,68 @@ def _distinct_roots_gcd(coeffs: list[int], p: int) -> int:
     return len(gcd) - 1
 
 
-def _root_counter(coeff_lists: list[list[int]]):
-    """p -> omega(p) for one system, p prime: roots of the product of
-    the members mod p among 0..p-1.  The product is formed once here;
-    p is trusted to be prime."""
-    if all(len(cs) <= 2 for cs in coeff_lists):
-        linear = [(cs[1] if len(cs) == 2 else 0, cs[0]) for cs in coeff_lists]
+def _bareiss_det(rows: list[list[int]]) -> int:
+    """Exact determinant of an integer matrix by fraction-free
+    (Bareiss) elimination; every division is exact."""
+    m = [row[:] for row in rows]
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        pivot = m[k][k]
+        for i in range(k + 1, n):
+            lead = m[i][k]
+            m[i] = [0] * (k + 1) + [(pivot * a - lead * b) // prev for a, b
+                                    in zip(m[i][k + 1:], m[k][k + 1:])]
+        prev = pivot
+    return sign * m[-1][-1] if n else 1
 
-        def omega(p: int) -> int:
-            roots = set()
-            for a, b in linear:
-                a %= p
-                b %= p
-                if a == 0:
-                    if b == 0:
-                        return p  # the zero polynomial kills every residue
-                    continue
-                roots.add(-b * pow(a, -1, p) % p)
-            return len(roots)
-        return omega
-    return functools.partial(_distinct_roots_gcd, _product_coeffs(coeff_lists))
+
+def _sylvester(a: list[int], b: list[int]) -> list[list[int]]:
+    """Sylvester matrix of two polynomials given ascending, of formal
+    degrees len - 1."""
+    da, db = len(a) - 1, len(b) - 1
+    rows = []
+    for cs, shifts in ((a, db), (b, da)):
+        desc = cs[::-1]
+        for i in range(shifts):
+            rows.append([0] * i + desc + [0] * (shifts - 1 - i))
+    return rows
+
+
+def _root_counter(coeff_lists: list[list[int]]):
+    """p -> omega(p) for one system, p prime: roots of the product P of
+    the members mod p among 0..p-1, by the rule in the module docstring.
+    p is trusted to be prime.  E = 0 when P has a repeated factor, is
+    constant or is zero (a zero member)."""
+    product = _product_coeffs(coeff_lists)
+    if len(product) > 1 and product[-1]:
+        deriv = [i * c for i, c in enumerate(product)][1:]
+        e = 2 * product[-1] * _bareiss_det(_sylvester(product, deriv))
+    else:
+        e = 0
+    linear = sum(1 for cs in coeff_lists if len(cs) == 2)
+    discs = [b * b - 4 * a * c for c, b, a in
+             (cs for cs in coeff_lists if len(cs) == 3)]
+    higher = [cs for cs in coeff_lists if len(cs) > 3]
+
+    def omega(p: int) -> int:
+        if e % p == 0:
+            return _distinct_roots_gcd(product, p)
+        w = linear
+        half = (p - 1) // 2
+        for d in discs:
+            if pow(d, half, p) == 1:
+                w += 2
+        for cs in higher:
+            w += _distinct_roots_gcd(cs, p)
+        return w
+    return omega
 
 
 def omega_p(fs: FunctionSystem, p: int,
@@ -278,8 +327,10 @@ def dlvp_ratio(a: int, b: int, x: int,
 class ApLeastPrimeTable:
     k: int
     entries: tuple[tuple[int, int], ...]  # (l, least prime == l mod k)
-    p_k: int
-    empirical_exponent: float  # log p_k / log k
+    # the largest least prime and log p_k / log k; None when some
+    # progression held no prime within the horizon
+    p_k: int | None
+    empirical_exponent: float | None
 
     def as_dict(self) -> dict[int, int]:
         return dict(self.entries)
@@ -290,7 +341,9 @@ def least_prime_ap(k: int,
     """p(l, k) for every l coprime to k.
 
     The scan starts at n = 0, so l itself counts when prime; set
-    strict_positive_n to start at n = 1 (the stricter reading)."""
+    strict_positive_n to start at n = 1 (the stricter reading).  When
+    some l + n*k has no prime up to n = config.horizon, the table is
+    Unknown: entries stop before that l and p_k is None."""
     if k < 2:
         raise InvalidArgument("k must be at least 2")
     start = 1 if config.strict_positive_n else 0
@@ -298,15 +351,12 @@ def least_prime_ap(k: int,
     for l in range(1, k + 1):
         if math.gcd(l, k) != 1:
             continue
-        n = start
-        while True:
-            v = l + n * k
-            if v >= 2 and is_prime(v, config):
-                entries.append((l, v))
-                break
-            n += 1
-            if n > config.horizon:
-                raise RuntimeError(f"no prime found for l={l}, k={k}")
+        least = next((v for v in range(l + start * k,
+                                       l + config.horizon * k + 1, k)
+                      if v >= 2 and is_prime(v, config)), None)
+        if least is None:
+            return ApLeastPrimeTable(k, tuple(entries), None, None)
+        entries.append((l, least))
     p_k = max(p for _, p in entries)
     return ApLeastPrimeTable(k, tuple(entries), p_k,
                              math.log(p_k) / math.log(k))
@@ -318,14 +368,20 @@ class ApProductReport:
     b: int
     n_max: int
     violations: tuple[int, ...]  # n with P_1 * ... * P_n <= P_{n+1}
-    c_star: int  # least threshold with no violation beyond it in range
+    # least threshold with no violation beyond it in range; None (and no
+    # violations) when the horizon holds fewer than n_max + 1 primes
+    c_star: int | None
 
 
 def ap_product_inequality(a: int, b: int, n_max: int,
                           config: WorkbenchConfig = DEFAULT_CONFIG,
                           ) -> ApProductReport:
     """Partial products of primes of the form a + b*x against the next
-    prime of the form: past a small threshold the product always wins."""
+    prime of the form: past a small threshold the product always wins.
+
+    x runs from 0 (1 under strict_positive_n) to config.horizon; when
+    fewer than n_max + 1 of those values are prime the report is
+    Unknown (c_star None), at once if there are too few candidates."""
     if b < 1:
         raise InvalidArgument("b must be positive")
     if math.gcd(a, b) != 1:
@@ -333,16 +389,17 @@ def ap_product_inequality(a: int, b: int, n_max: int,
     if n_max < 1:
         raise InvalidArgument("n_max must be at least 1")
     need = n_max + 1
+    start = 1 if config.strict_positive_n else 0
     primes: list[int] = []
-    x = 1 if config.strict_positive_n else 0
-    while len(primes) < need:
-        v = a + b * x
-        if v >= 2 and is_prime(v, config):
-            primes.append(v)
-        x += 1
-        if x > config.horizon:
-            raise RuntimeError(f"fewer than {need} primes of form "
-                               f"{a}+{b}x within the horizon")
+    if need <= config.horizon + 1 - start:
+        for x in range(start, config.horizon + 1):
+            v = a + b * x
+            if v >= 2 and is_prime(v, config):
+                primes.append(v)
+                if len(primes) == need:
+                    break
+    if len(primes) < need:
+        return ApProductReport(a, b, n_max, (), None)
     violations = []
     product = 1
     for n in range(1, n_max + 1):

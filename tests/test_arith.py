@@ -5,10 +5,10 @@ import random
 
 import pytest
 
-from primework.arith import (crt_solve, euler_phi, euler_phi_range, factorize,
-                             factor_with_table, is_prime,
-                             least_coprime_exceeding_one,
-                             multiplicative_order, sieve_primes,
+from primework.arith import (PrimalityResult, crt_solve, euler_phi,
+                             euler_phi_range, factorize, factor_with_table,
+                             is_prime, least_coprime_exceeding_one,
+                             multiplicative_order, primality, sieve_primes,
                              smallest_factor_table)
 from primework.config import DEFAULT_CONFIG
 from primework.errors import NotCoprime
@@ -139,3 +139,114 @@ def test_least_coprime_of_primorial():
     # 2*3*5*7 = 210 forces the answer up to 11
     assert least_coprime_exceeding_one(210) == 11
     assert least_coprime_exceeding_one(2 * 3 * 5 * 7 * 11 * 13) == 17
+
+
+# --- Miller-Rabin with the least proven witness prefix --------------------
+
+# psi_k: the least strong pseudoprime to the first k prime bases (A014233)
+PSI = {1: 2047, 2: 1373653, 3: 25326001, 4: 3215031751,
+       5: 2152302898747, 6: 3474749660383, 7: 341550071728321,
+       8: 341550071728321, 9: 3825123056546413051,
+       10: 3825123056546413051, 11: 3825123056546413051,
+       12: 318665857834031151167461, 13: 3317044064679887385961981}
+BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _strong_probable_prime(n, a):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _all_rounds(n):
+    """Every one of the 13 rounds, no shortcut: exact below psi_13."""
+    if n < 2:
+        return False
+    if n in BASES:
+        return True
+    if any(n % a == 0 for a in BASES):
+        return False
+    return all(_strong_probable_prime(n, a) for a in BASES)
+
+
+def _plain_sieve(limit):
+    flags = bytearray([1]) * (limit + 1)
+    flags[0:2] = b"\x00\x00"
+    for i in range(2, math.isqrt(limit) + 1):
+        if flags[i]:
+            for j in range(i * i, limit + 1, i):
+                flags[j] = 0
+    return flags
+
+
+def test_primality_matches_a_plain_sieve_below_two_million():
+    flags = _plain_sieve(2 * 10**6 - 1)
+    wrong = [n for n in range(2 * 10**6) if primality(n).prime != flags[n]]
+    assert wrong == []
+
+
+def test_psi_table_entries_are_strong_pseudoprimes():
+    for k, psi in PSI.items():
+        assert all(_strong_probable_prime(psi, a) for a in BASES[:k]), k
+        # a composite verdict is always proven: it names a witness
+        assert primality(psi) == PrimalityResult(psi, False, True), k
+
+
+def test_primality_around_each_psi():
+    for psi in sorted(set(PSI.values())):
+        for n in (psi - 2, psi, psi + 2):
+            res = primality(n)
+            if n < PSI[13]:
+                assert res.deterministic and res.prime == _all_rounds(n), n
+            else:  # seeded extra rounds may expose what 13 bases pass
+                assert not res.prime or (_all_rounds(n)
+                                         and not res.deterministic), n
+
+
+def test_primality_on_seeded_wide_odd_numbers():
+    rng = random.Random(20261018)
+    for bits in (64, 96, 128):
+        for _ in range(300):
+            n = rng.getrandbits(bits) | 1 | (1 << (bits - 1))
+            assert primality(n).prime == _all_rounds(n), n
+        for _ in range(30):
+            n = rng.getrandbits(bits) | 1 | (1 << (bits - 1))
+            while not _all_rounds(n):
+                n += 2
+            res = primality(n)
+            assert res.prime and res.deterministic == (n < PSI[13]), n
+
+
+def test_psi12_is_composite():
+    psi12 = 399_165_290_221 * 798_330_580_441
+    assert psi12 == PSI[12]
+    assert primality(psi12) == PrimalityResult(psi12, False, True)
+    fac = factorize(psi12)
+    assert fac.factors == ((399_165_290_221, 1), (798_330_580_441, 1))
+    assert fac.complete
+
+
+def _comprehension_sieve(limit):
+    """The list-comprehension sieve the segmented one must match."""
+    if limit < 2:
+        return []
+    flags = _plain_sieve(limit)
+    return [i for i in range(limit + 1) if flags[i]]
+
+
+def test_sieve_matches_the_comprehension():
+    for limit in range(-1, 3000):
+        assert sieve_primes(limit) == _comprehension_sieve(limit), limit
+    flags = _plain_sieve(4 * 2**20 + 1)
+    for limit in (4 * 2**20 - 1, 4 * 2**20, 4 * 2**20 + 1):
+        assert sieve_primes(limit) == [i for i in range(limit + 1)
+                                       if flags[i]], limit

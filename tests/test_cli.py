@@ -210,3 +210,40 @@ def test_verify_paper_json_matches_golden_bytes(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify-paper", "--json")
     assert code == 0
     assert out.encode() == golden.read_bytes()
+
+
+def test_psi12_is_tagged_composite(capsys):
+    # 318665857834031151167461 = 399165290221 * 798330580441 passes the
+    # twelve Miller-Rabin bases 2..37; base 41 exposes it
+    code, out, _ = run(capsys, "sfm", "-f", "x+318665857834031151167460",
+                       "--modulus", "2")
+    assert code == 0
+    assert out == ("least witness: x=1  values: "
+                   "318665857834031151167461 (composite)\n")
+
+
+def test_ap_horizon_exhaustion_is_unknown(capsys, tmp_path, monkeypatch):
+    # 10^8 + 1 primes cannot fit in the 10^6 + 1 candidates of the horizon
+    code, out, _ = run(capsys, "ap", "--a", "1", "--b", "2",
+                       "--limit", "100000000")
+    assert (code, out) == (2, "unknown  horizon=1000000\n")
+    code, out, _ = run(capsys, "ap", "--a", "1", "--b", "2",
+                       "--limit", "100000000", "--json")
+    doc = json.loads(out)
+    assert code == 2 and doc["conclusive"] is False
+    assert doc["results"]["report"]["violations"] == []
+    assert doc["results"]["report"]["c_star"] is None
+    # 1 + 10x for x = 0..3 holds the primes 11 and 31 only
+    path = tmp_path / "short.conf"
+    path.write_text("horizon = 3\n")
+    monkeypatch.setenv("WORKBENCH_CONFIG", str(path))
+    code, out, _ = run(capsys, "ap", "--a", "1", "--b", "10", "--limit", "2")
+    assert (code, out) == (2, "unknown  horizon=3\n")
+    code, out, _ = run(capsys, "ap", "--a", "1", "--b", "10", "--limit", "1")
+    assert (code, out) == (0, "violations up to n=1: [1]\n"
+                              "holds for all n > 1\n")
+    # 21, 121, 221 and 321 are composite: the table stops before l = 21
+    code, out, _ = run(capsys, "ap", "--modulus", "100")
+    assert code == 2
+    assert out.splitlines()[-2:] == ["  l=19  least prime: 19",
+                                     "unknown  horizon=3"]

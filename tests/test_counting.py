@@ -138,3 +138,21 @@ def test_pi_budget_cut_is_not_complete():
     assert pi_general_exact(f, 500).enumeration_complete
     tight = DEFAULT_CONFIG.with_overrides(bit_budget=5)
     assert not pi_general_exact(f, 500, config=tight).enumeration_complete
+
+
+def test_decreasing_exponential_has_an_envelope():
+    # -2*3^x + 5 is -1 at x = 1 and falls from there: no value is ever in
+    # range, and the envelope says so without a fallback box
+    f = parse_function("-2*3^x+5")
+    res = phi_general((f,), 10)
+    assert res.exact and (res.count, res.box) == (0, 0)
+    pi = pi_general_exact(f, 50)
+    assert pi.enumeration_complete and pi.value == 0
+    # -2*3^x + 500 is 14 at x = 5 and -958 at x = 6
+    g = parse_function("-2*3^x+500")
+    res = phi_general((g,), 1001)
+    assert res.exact and res.box == 5
+    assert res.count == len({v for v in (494, 482, 446, 338, 14)
+                             if math.gcd(v, 1001) == 1})
+    pi = pi_general_exact(g, 500)
+    assert pi.enumeration_complete and pi.value == 1

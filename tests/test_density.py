@@ -1,5 +1,6 @@
 """Density constants, predicted versus actual prime counts, progressions."""
 
+import itertools
 import math
 import random
 
@@ -8,7 +9,8 @@ import pytest
 from primework.analysis import univariate_coeffs
 from primework.arith import is_prime, sieve_primes
 from primework.config import DEFAULT_CONFIG
-from primework.density import (_root_counter, actual_count,
+from primework.density import (_bareiss_det, _root_counter, _sylvester,
+                               actual_count,
                                ap_product_inequality, bateman_horn_constant,
                                density_estimate, dlvp_ratio, least_prime_ap,
                                omega_p, predicted_count)
@@ -137,6 +139,18 @@ def test_ap_product_inequality():
         assert n not in rep.violations
 
 
+def test_ap_horizon_exhaustion_is_reported():
+    rep = ap_product_inequality(1, 2, 10**8)  # at once: 10^6 + 1 candidates
+    assert (rep.violations, rep.c_star) == ((), None)
+    short = DEFAULT_CONFIG.with_overrides(horizon=3)
+    assert ap_product_inequality(1, 10, 2, short).c_star is None
+    assert ap_product_inequality(1, 10, 1, short).c_star == 1  # 11 <= 31
+    table = least_prime_ap(100, short)
+    assert (table.p_k, table.empirical_exponent) == (None, None)
+    assert table.entries[-1] == (19, 19)  # 21 + 100n is composite, n <= 3
+    assert least_prime_ap(100).p_k == 487
+
+
 def test_density_estimate_aggregate():
     est = density_estimate(parse_system("x; x+2"), 10**4, 10**4)
     assert est.obstruction is None
@@ -182,6 +196,13 @@ def _kernel_systems():
         systems.append([[0, -1] + [0] * (q - 2) + [1]])
     systems.append([[0, -1, 0, 0, 0, 0, 0, 1], [2, 0, 3]])
     systems.append([[6, 3], [1, 1]])
+    # members sharing a root only at primes dividing E (x^2+1 and 2x+1
+    # at 5; x and x+6 at 2 and 3), E = 0 from a repeated factor, constant
+    # members (6 kills 2 and 3) and negative discriminants
+    for text in ("x^2+1; 2*x+1", "x; x+6", "x; x", "x^2+2*x+1",
+                 "x^2+1; 6", "x; 7", "-3*x^2+x-5; x^2+3", "5*x^2+x+1; x",
+                 "x^2-2; x^2+x+1; x^3-x-1"):
+        systems.append([univariate_coeffs(f) for f in parse_system(text)])
     return systems
 
 
@@ -191,6 +212,37 @@ def test_root_counter_matches_brute_force_below_3000():
         omega = _root_counter(coeff_lists)
         for p in primes:
             assert omega(p) == _brute_roots(coeff_lists, p), (coeff_lists, p)
+
+
+def _leibniz_det(rows):
+    n = len(rows)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(1 for i in range(n) for j in range(i + 1, n)
+                         if perm[i] > perm[j])
+        total += (-1) ** inversions * math.prod(rows[i][perm[i]]
+                                                for i in range(n))
+    return total
+
+
+def _resultant(a, b):
+    return _bareiss_det(_sylvester(a, b))
+
+
+def test_resultant_matches_a_brute_force_determinant():
+    rng = random.Random(7)
+    for _ in range(60):
+        a = [rng.randint(-9, 9) for _ in range(rng.randint(1, 4))]
+        a.append(rng.choice([c for c in range(-5, 6) if c]))
+        b = [rng.randint(-9, 9) for _ in range(rng.randint(0, 3))]
+        b.append(rng.choice([c for c in range(-5, 6) if c]))
+        if rng.random() < 0.25:  # zero pivots: sparse coefficients
+            a = [c if rng.random() < 0.5 else 0 for c in a[:-1]] + a[-1:]
+        assert _resultant(a, b) == _leibniz_det(_sylvester(a, b)), (a, b)
+    # Res(P, P') = -a * (b^2 - 4ac) for P = ax^2 + bx + c, and it
+    # vanishes exactly on a repeated root
+    for c, b, a in ((1, 0, 1), (41, 1, 1), (5, -1, 3), (1, 2, 1), (0, 0, 7)):
+        assert _resultant([c, b, a], [b, 2 * a]) == -a * (b * b - 4 * a * c)
 
 
 def test_omega_p_keeps_its_argument_checks():
