@@ -355,13 +355,8 @@ def envelope_outside_bound(f: NtFunction, m: int,
             worst = max(worst, th)
         else:
             return worst
-    shape = exp_linear_shape(f)
-    if shape is not None and shape[0] < 0:
-        # c*b^x + d with c < 0 strictly decreases: once below 1, it stays
-        c, b, d = shape
-        x = 1
-        while c * b**x + d >= 1:
-            x += 1
+    x = _below_one_from(f)
+    if x is not None:
         return x
     if isinstance(body, Piecewise) and f.arity == 1:
         tail = NtFunction(1, body.default)
@@ -391,6 +386,19 @@ def _required_side(fs, bound: int, config: WorkbenchConfig) -> int | None:
     return None if best is None else best - 1
 
 
+def _below_one_from(f: NtFunction) -> int | None:
+    """Least X with f(x) < 1 for every x >= X when f is c*b^x + d with
+    c < 0, which strictly decreases: once below 1, it stays."""
+    shape = exp_linear_shape(f)
+    if shape is None or shape[0] > 0:
+        return None
+    c, b, d = shape
+    x = 1
+    while c * b**x + d >= 1:
+        x += 1
+    return x
+
+
 def exceeds_one_from(f: NtFunction,
                      config: WorkbenchConfig = DEFAULT_CONFIG) -> tuple[int, bool] | None:
     """For univariate f: (X, True) when f(x) > 1 for all x >= X, or
@@ -405,6 +413,9 @@ def exceeds_one_from(f: NtFunction,
     if nf is not None:  # constant polynomial
         v = nf.get((0,), 0)
         return 1, v > 1
+    x = _below_one_from(f)
+    if x is not None:
+        return x, False
     body = f.body
     if isinstance(body, Piecewise):
         tail = exceeds_one_from(NtFunction(1, body.default), config)
@@ -557,40 +568,3 @@ def is_fermat_shape(f: NtFunction) -> bool:
             and head.base.value == 2 and isinstance(head.exponent, Pow)
             and isinstance(head.exponent.base, Const) and head.exponent.base.value == 2
             and isinstance(head.exponent.exponent, Var))
-
-
-# --- compiled evaluation -------------------------------------------------
-
-def _codegen(node: Node) -> str:
-    if isinstance(node, Const):
-        return repr(node.value)
-    if isinstance(node, Var):
-        return f"a{node.index}"
-    if isinstance(node, Add):
-        return f"({_codegen(node.left)} + {_codegen(node.right)})"
-    if isinstance(node, Sub):
-        return f"({_codegen(node.left)} - {_codegen(node.right)})"
-    if isinstance(node, Neg):
-        return f"(-{_codegen(node.operand)})"
-    if isinstance(node, Mul):
-        return f"({_codegen(node.left)} * {_codegen(node.right)})"
-    if isinstance(node, Pow):
-        return f"({_codegen(node.base)} ** {_codegen(node.exponent)})"
-    if isinstance(node, Floor):
-        return f"({_codegen(node.numerator)} // {node.divisor})"
-    if isinstance(node, Piecewise):
-        out = _codegen(node.default)
-        for bound, body in reversed(node.branches):
-            out = f"({_codegen(body)} if a{node.var} <= {bound} else {out})"
-        return out
-    raise TypeError(f"not a node: {node!r}")
-
-
-def compile_plain(f: NtFunction):
-    """Compile to a raw Python callable on positional args.
-
-    No domain or budget checks; callers must keep scans bounded (values
-    grow however the expression says).  Used for hot loops only.
-    """
-    args = ", ".join(f"a{i}" for i in range(1, f.arity + 1))
-    return eval(f"lambda {args}: {_codegen(f.body)}", {"__builtins__": {}})

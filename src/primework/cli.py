@@ -346,10 +346,9 @@ def main(argv=None) -> int:
                  {"seed": args.seed,
                   "strict_positive_n": args.strict_positive_n,
                   "x_min": args.x_min}.items() if v is not None}
-    config = resolve_config(overrides)
-    handler = _HANDLERS[args.command]
     try:
-        payload, conclusive, lines, ok = handler(args, config)
+        config = resolve_config(overrides)
+        payload, conclusive, lines, ok = _HANDLERS[args.command](args, config)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

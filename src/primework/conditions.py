@@ -14,10 +14,18 @@ product of the member values):
   H  system form of A (pairwise coprime products, all members > 1)
   I  system form of E
 
-Scans are three-valued.  Polynomial and base-power shapes close
-conclusively through residue periods and envelope certificates; other
-shapes report Unknown when the horizon runs out, and so does any scan
-that meets a value beyond the bit budget.
+Verdicts are three-valued.  B, C, D and the system form of I ask
+whether a modulus q divides every value.  For a polynomial that holds
+exactly when q divides its fixed divisor, read from the cached classify
+profile, so these verdicts are always conclusive; c*b^x + d closes on
+an empty scan of a whole residue period.  Their witnesses come from one
+residue scan (_residues), the counterpart of analysis._Scan: it skips a
+point where f has no value, and a witness carries the exact value, or
+None when that is over the bit budget.
+
+E, F and G close through envelope certificates and residue periods.
+Other shapes report Unknown when the horizon runs out, and so does a
+value scan that meets a value beyond the bit budget.
 """
 
 from __future__ import annotations
@@ -26,12 +34,12 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .analysis import (_Scan, envelope_outside_bound, exceeds_one_from,
-                       exp_linear_shape, iter_points, poly_normal_form,
-                       univariate_coeffs)
+from .analysis import (_analysis, _Scan, classify, envelope_outside_bound,
+                       exceeds_one_from, exp_linear_shape, iter_points)
 from .arith import factorize, is_prime, multiplicative_order, sieve_primes
 from .config import DEFAULT_CONFIG, SCAN_HORIZON, WorkbenchConfig
-from .errors import EvaluationBudgetExceeded, GRequiresPrime, InvalidArgument
+from .errors import (DomainError, EvaluationBudgetExceeded, EvaluationError,
+                     GRequiresPrime, InvalidArgument)
 from .expr import Mul, NtFunction, evaluate, evaluate_mod
 
 
@@ -60,25 +68,46 @@ class Verdict:
         return self.status is not Status.UNKNOWN
 
 
-def _poly_mod_scanner(f: NtFunction, modulus: int):
-    """Per-x residue of a univariate polynomial, Horner, early-callable."""
-    coeffs = univariate_coeffs(f)
-    red = [c % modulus for c in coeffs]
+def _residues(f: NtFunction, q: int, limit: int):
+    """Yield (x, f(x) mod q) for x = 1..limit: the residue counterpart
+    of analysis._Scan.  A polynomial runs by Horner over its cached
+    coefficients, any other f through evaluate_mod.  A point where f has
+    no value is skipped, as _Scan skips it.  Residue periods are
+    certified only for polynomials and c*b^x + d, which have no such
+    points, so a skip never hides a point that a Fails rests on."""
+    if f.arity != 1:
+        raise InvalidArgument("conditions B, C and D take a univariate function")
+    coeffs = _analysis(f).coeffs
+    if coeffs is not None:
+        red = [c % q for c in reversed(coeffs)]
+        for x in range(1, limit + 1):
+            acc = 0
+            for c in red:
+                acc = (acc * x + c) % q
+            yield x, acc
+        return
+    for x in range(1, limit + 1):
+        try:
+            r = evaluate_mod(f, (x,), q)
+        except (DomainError, EvaluationError):
+            continue  # f has no value at x
+        yield x, r
 
-    def at(x: int) -> int:
-        acc = 0
-        for c in reversed(red):
-            acc = (acc * x + c) % modulus
-        return acc
-    return at
+
+def _holds_at(f: NtFunction, x: int, modulus: int,
+              config: WorkbenchConfig) -> Verdict:
+    """Holds at x, with the exact value (None when over the budget)."""
+    try:
+        value = evaluate(f, (x,), config=config)
+    except EvaluationBudgetExceeded:
+        value = None
+    return Verdict(Status.HOLDS, Witness((x,), (value,), modulus))
 
 
 def _residue_period(f: NtFunction, modulus: int,
                     config: WorkbenchConfig) -> int | None:
     """Period of x -> f(x) mod modulus over x >= 1, when provable."""
-    if f.arity != 1:
-        return None
-    if poly_normal_form(f) is not None:
+    if _analysis(f).coeffs is not None:
         return modulus
     shape = exp_linear_shape(f)
     if shape is not None:
@@ -90,24 +119,27 @@ def _residue_period(f: NtFunction, modulus: int,
     return None
 
 
-def _scan_nonzero_residue(f: NtFunction, modulus: int, horizon: int,
+def _scan_nonzero_residue(f: NtFunction, q: int, horizon: int,
                           config: WorkbenchConfig) -> Verdict:
-    """Common core of C and D: least x >= 1 with f(x) != 0 mod modulus."""
-    period = _residue_period(f, modulus, config)
-    limit = horizon if period is None else min(horizon, period)
-    if f.arity == 1 and poly_normal_form(f) is not None:
-        at = _poly_mod_scanner(f, modulus)
-        for x in range(1, limit + 1):
-            if at(x):
-                return Verdict(Status.HOLDS,
-                               Witness((x,), (evaluate(f, (x,), config=config),), modulus))
+    """Common core of C and D: least x >= 1 with f(x) != 0 mod q.
+
+    A polynomial fails exactly when q divides its fixed divisor;
+    otherwise the witness lies among x = 1..deg+1 (finite differences).
+    Other shapes fail only on an empty scan of a whole residue period.
+    """
+    coeffs = _analysis(f).coeffs
+    if coeffs is not None:
+        if classify(f, config).fixed_divisor % q == 0:
+            return Verdict(Status.FAILS, obstruction=q)
+        reach = len(coeffs)  # deg + 1 points hold a witness
     else:
-        for x in range(1, limit + 1):
-            if evaluate_mod(f, (x,), modulus):
-                value = evaluate(f, (x,), config=config)
-                return Verdict(Status.HOLDS, Witness((x,), (value,), modulus))
-    if period is not None and period <= horizon:
-        return Verdict(Status.FAILS, obstruction=modulus)
+        reach = _residue_period(f, q, config)
+    limit = horizon if reach is None else min(horizon, reach)
+    for x, r in _residues(f, q, limit):
+        if r:
+            return _holds_at(f, x, q, config)
+    if reach is not None and reach <= horizon:
+        return Verdict(Status.FAILS, obstruction=q)
     return Verdict(Status.UNKNOWN, horizon=horizon)
 
 
@@ -127,68 +159,41 @@ def check_condition_C(f: NtFunction, m: int, horizon: int = SCAN_HORIZON,
     return _scan_nonzero_residue(f, m, horizon, config)
 
 
-def _radical(m: int, config: WorkbenchConfig) -> int:
-    out = 1
-    for p, _ in factorize(m, config).factors:
-        out *= p
-    return out
-
-
 def check_condition_B(f: NtFunction, m: int, horizon: int = SCAN_HORIZON,
                       config: WorkbenchConfig = DEFAULT_CONFIG) -> Verdict:
     """Condition B: some value coprime to m.
 
-    For polynomials each prime p | m gets a full residue scan; if some
-    prime divides every value, that prime is the obstruction and B
-    fails conclusively.  Otherwise residues combine through the
-    Chinese remainder theorem, so a witness exists within the radical
-    of m and the least one is reported.
+    B fails at the first prime p | m that divides every value: for a
+    polynomial, a prime of its fixed divisor; for c*b^x + d, a prime
+    whose residue period is empty.  Otherwise one scan modulo the
+    radical of m finds the least witness.  For a polynomial the Chinese
+    remainder theorem puts it within the radical, whatever the horizon;
+    for other shapes an empty scan over the joint period proves Fails.
     """
     if m < 2:
         raise InvalidArgument("condition B needs a modulus >= 2")
     primes = [p for p, _ in factorize(m, config).factors]
-    if f.arity == 1 and poly_normal_form(f) is not None:
-        for p in primes:
-            at = _poly_mod_scanner(f, p)
-            if all(at(r) == 0 for r in range(p)):
-                return Verdict(Status.FAILS, obstruction=p)
-        rad = _radical(m, config)
-        at_rad = _poly_mod_scanner(f, rad)
-        for x in range(1, rad + 1):
-            if math.gcd(at_rad(x), rad) == 1:
-                return Verdict(Status.HOLDS,
-                               Witness((x,), (evaluate(f, (x,), config=config),), m))
-        raise AssertionError("CRT guarantees a witness within the radical")
-    # non-polynomial: per-prime conclusive failure needs a period
-    periods = []
+    poly = _analysis(f).coeffs is not None
+    joint = 1  # lcm of the per-prime periods; None when one is unknown
     for p in primes:
-        period = _residue_period(f, p, config)
-        if period is not None:
-            at_done = False
-            for x in range(1, min(period, horizon) + 1):
-                if evaluate_mod(f, (x,), p):
-                    at_done = True
-                    break
-            if not at_done and period <= horizon:
+        if poly:
+            if classify(f, config).fixed_divisor % p == 0:
                 return Verdict(Status.FAILS, obstruction=p)
-            periods.append(period)
+            period = p
         else:
-            periods = None  # joint period unavailable
-            break
-    joint = None
-    if periods is not None:
-        joint = 1
-        for q in periods:
-            joint = joint * q // math.gcd(joint, q)
-    limit = horizon if joint is None else min(horizon, joint)
-    for x in range(1, limit + 1):
-        if math.gcd(evaluate_mod(f, (x,), m), m) == 1:
-            try:
-                value = evaluate(f, (x,), config=config)
-            except EvaluationBudgetExceeded:
-                value = None
-            return Verdict(Status.HOLDS,
-                           Witness((x,), (value,), m))
+            period = _residue_period(f, p, config)
+            if period is None:
+                joint = None
+                break
+            if period <= horizon and not any(
+                    r for _, r in _residues(f, p, period)):
+                return Verdict(Status.FAILS, obstruction=p)
+        joint = math.lcm(joint, period)
+    rad = math.prod(primes)
+    limit = joint if poly else (horizon if joint is None else min(horizon, joint))
+    for x, r in _residues(f, rad, limit):
+        if math.gcd(r, rad) == 1:
+            return _holds_at(f, x, m, config)
     if joint is not None and joint <= horizon:
         return Verdict(Status.FAILS, obstruction=m)
     return Verdict(Status.UNKNOWN, horizon=horizon)
@@ -244,8 +249,9 @@ def _value_certificate(f: NtFunction, m: int, mode: str, horizon: int,
         end, proof = x1 - 1, Verdict(Status.FAILS)
     else:
         # values exceed 1 from x1 on; their residues repeat with period
-        period = _residue_period(f, m if mode == "F" else _radical(m, config),
-                                 config)
+        q = m if mode == "F" else math.prod(
+            p for p, _ in factorize(m, config).factors)  # the radical of m
+        period = _residue_period(f, q, config)
         if period is None:
             return horizon, None
         end, proof = x1 + period - 1, Verdict(Status.FAILS, obstruction=m)
@@ -305,28 +311,17 @@ def check_system_conditions(fs: tuple[NtFunction, ...], m: int,
     product_fn = fs[0]
     for g in fs[1:]:
         product_fn = NtFunction(arity, Mul(product_fn.body, g.body))
-    if all(poly_normal_form(g) is not None for g in fs):
+    profile = classify(product_fn, config)
+    if profile.is_polynomial:
+        # p divides every product exactly when p divides its fixed divisor
         for p, _ in factorize(m, config).factors:
-            if _poly_vanishes_everywhere(product_fn, p, config):
+            if profile.fixed_divisor % p == 0:
                 return Verdict(Status.FAILS, obstruction=p)
     scan = _Scan(fs, iter_points(arity, horizon),
                  lambda v: v > 1 and math.gcd(v % m, m) == 1, config)
     for point, values in scan:
         return Verdict(Status.HOLDS, Witness(point, values, m))
     return Verdict(Status.UNKNOWN, horizon=horizon)
-
-
-def _poly_vanishes_everywhere(f: NtFunction, p: int,
-                              config: WorkbenchConfig) -> bool:
-    """Does p divide f at every residue combination mod p?"""
-    if f.arity == 1:
-        at = _poly_mod_scanner(f, p)
-        return all(at(r) == 0 for r in range(p))
-    def rec(point, i):
-        if i == f.arity:
-            return evaluate_mod(f, tuple(point), p, allow_zero=True) == 0
-        return all(rec(point + [r], i + 1) for r in range(p))
-    return rec([], 0)
 
 
 @dataclass(frozen=True)
@@ -352,12 +347,12 @@ def condition_report(f: NtFunction, m: int, horizon: int = SCAN_HORIZON,
                             horizon=horizon)
     verdicts["B"] = check_condition_B(f, m, horizon, config)
     verdicts["C"] = check_condition_C(f, m, horizon, config)
-    d_parts = [_scan_nonzero_residue(f, p, horizon, config) for p in primes]
-    verdicts["D"] = _conjoin(d_parts)
+    verdicts["D"] = _conjoin([_scan_nonzero_residue(f, p, horizon, config)
+                              for p in primes])
     verdicts["E"] = find_value_witness(f, m, "E", horizon, config)
     verdicts["F"] = find_value_witness(f, m, "F", horizon, config)
-    g_parts = [find_value_witness(f, p, "G", horizon, config) for p in primes]
-    verdicts["G"] = _conjoin(g_parts)
+    verdicts["G"] = _conjoin([find_value_witness(f, p, "G", horizon, config)
+                              for p in primes])
     return ConditionReport(m, verdicts, seq)
 
 

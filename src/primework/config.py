@@ -11,6 +11,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, replace
 
+from .errors import InvalidArgument
+
 ENV_VAR = "WORKBENCH_CONFIG"
 
 # Default horizon of the point searches (witnesses, conditions, probes):
@@ -60,20 +62,29 @@ _FIELDS = {
 
 
 def load_config_file(path: str) -> dict:
-    """Parse a key=value config file.  Unknown keys are rejected."""
+    """Parse a key=value config file.  A missing file, a line without
+    '=', an unknown key or a bad value raises InvalidArgument."""
     out = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value")
-            key, _, val = line.partition("=")
-            key = key.strip()
-            if key not in _FIELDS:
-                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            out[key] = _FIELDS[key](val.strip())
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    except OSError as exc:
+        raise InvalidArgument(f"{path}: {exc.strerror}") from exc
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, eq, val = (part.strip() for part in line.partition("="))
+        where = f"{path}:{lineno}"
+        if not eq:
+            raise InvalidArgument(f"{where}: expected key=value")
+        if key not in _FIELDS:
+            raise InvalidArgument(f"{where}: unknown config key {key!r}")
+        try:
+            out[key] = _FIELDS[key](val)
+        except ValueError:
+            raise InvalidArgument(
+                f"{where}: bad value for {key}: {val!r}") from None
     return out
 
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .analysis import (classify, compile_plain, is_fermat_shape, is_identity,
-                       is_mersenne_shape)
+from .analysis import (_Scan, classify, is_fermat_shape, is_identity,
+                       is_mersenne_shape, iter_points)
 from .arith import (euler_phi_range, factorize, multiplicative_order,
                     smallest_factor_table)
 from .conditions import Status, check_system_conditions, find_value_witness
@@ -184,18 +184,16 @@ def _poly_suite(f: NtFunction, lo: int, hi: int,
     d = prof.total_degree
     L = prof.leading_coefficient
     threshold = 10 * L * 2**d
-    ev = compile_plain(f)
-    gcd = math.gcd
     bad = []
     for m in range(max(lo, threshold + 1), hi + 1):
-        x = 1
-        while True:
-            v = ev(x)
-            if v > 1 and gcd(v, m) == 1:
-                break
-            x += 1
-        if L * x**d >= m:  # claim is S < (m/L)^(1/d)
-            bad.append((m, x))
+        scan = _Scan((f,), iter_points(1, SCAN_HORIZON),
+                     lambda v: v > 1 and math.gcd(v, m) == 1, config)
+        for (x,), _ in scan:
+            if L * x**d >= m:  # claim is S < (m/L)^(1/d)
+                bad.append((m, x))
+            break
+        else:
+            bad.append((m, 0))  # no witness within the horizon
     return BoundReport("poly", lo, hi, tuple(bad), threshold=threshold)
 
 

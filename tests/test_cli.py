@@ -247,3 +247,64 @@ def test_ap_horizon_exhaustion_is_unknown(capsys, tmp_path, monkeypatch):
     assert code == 2
     assert out.splitlines()[-2:] == ["  l=19  least prime: 19",
                                      "unknown  horizon=3"]
+
+
+def test_conditions_skip_undefined_points(capsys):
+    # 2^(x-2)+1 has no value at x = 1; the residue scans of B, C and D
+    # step over it as the exact scans do
+    code, out, err = run(capsys, "conditions", "-f", "2^(x-2)+1",
+                         "--modulus", "10")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert "B: holds  x=3 value=3" in lines
+    assert "C: holds  x=2 value=2" in lines
+
+
+def test_conditions_over_budget_witness_has_no_value(capsys):
+    # f(x) = 0 below x = 25; f(25) = 2^(2^25) is 1 mod 3 but over the
+    # bit budget, so the witness carries value None and E is cut there
+    code, out, err = run(capsys, "conditions", "-f", "2^(2^x)*floor(x/25)",
+                         "--modulus", "3")
+    assert (code, err) == (2, "")
+    lines = out.splitlines()
+    for letter in "BCD":
+        assert f"{letter}: holds  x=25 value=None" in lines
+    assert "E: unknown  horizon=10000" in lines
+
+
+def test_decreasing_exponential_has_no_witness(capsys):
+    # -2*3^x + 5 is below 1 from x = 1 on
+    code, out, _ = run(capsys, "sfm", "--function=-2*3^x+5", "--modulus", "10")
+    assert (code, out) == (0, "no witness\n")
+    code, out, _ = run(capsys, "conditions", "--function=-2*3^x+5",
+                       "--modulus", "10")
+    assert code == 0
+    lines = out.splitlines()
+    for letter in "AEFG":
+        assert f"{letter}: fails" in lines
+    assert "coprime sequence: []" in lines
+
+
+def test_fixed_divisor_beyond_the_horizon_fails(capsys):
+    code, out, _ = run(capsys, "conditions", "-f", "20011*x",
+                       "--modulus", "20011")
+    lines = out.splitlines()
+    for letter in "BCD":
+        assert f"{letter}: fails  obstruction=20011" in lines
+
+
+@pytest.mark.parametrize("text, message", [
+    ("seed 9\n", ":1: expected key=value"),
+    ("seed = 9\ncolour = red\n", ":2: unknown config key 'colour'"),
+    ("horizon = abc\n", ":1: bad value for horizon: 'abc'"),
+    (None, ": No such file or directory"),
+])
+def test_bad_config_file_is_a_usage_error(capsys, tmp_path, monkeypatch,
+                                          text, message):
+    path = tmp_path / "bad.conf"
+    if text is not None:
+        path.write_text(text)
+    monkeypatch.setenv("WORKBENCH_CONFIG", str(path))
+    code, out, err = run(capsys, "ap", "--modulus", "100")
+    assert (code, out) == (1, "")
+    assert err == f"error: InvalidArgument: {path}{message}\n"

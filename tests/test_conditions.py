@@ -5,13 +5,14 @@ import random
 
 import pytest
 
+from primework.analysis import envelope_outside_bound, exceeds_one_from
 from primework.conditions import (Status, check_condition_B,
                                   check_condition_C, check_condition_D,
                                   check_system_conditions, condition_report,
                                   find_value_witness,
                                   generate_coprime_sequence)
 from primework.config import DEFAULT_CONFIG
-from primework.errors import GRequiresPrime
+from primework.errors import GRequiresPrime, InvalidArgument
 from primework.expr import evaluate, parse_function, parse_system
 
 
@@ -216,3 +217,43 @@ def test_undefined_points_are_skipped():
     assert [p for p, _ in seq.entries] == [(2,), (3,), (4,)]
     v = check_system_conditions((f, parse_function("x+2")), 15)
     assert v.witness.point == (2,) and v.witness.values == (2, 4)
+
+
+def test_decreasing_exponential_is_below_one_for_good():
+    # c*b^x + d with c < 0 falls below 1 at X and stays there
+    for text, x in (("-2*3^x+5", 1), ("-3^x+20", 3), ("-2^x+9", 4)):
+        f = parse_function(text)
+        assert exceeds_one_from(f) == (x, False), text
+        assert envelope_outside_bound(f, 10) == x, text
+        assert all(evaluate(f, (t,)) >= 1 for t in range(1, x))
+        assert all(evaluate(f, (t,)) < 1 for t in range(x, x + 30))
+    f = parse_function("-3^x+20")
+    seq = generate_coprime_sequence(f, 4)
+    assert [v for _, v in seq.entries] == [17, 11] and seq.capped
+    # its only values above 1 are 17 and 11
+    assert find_value_witness(f, 187, "E").status is Status.FAILS
+    assert find_value_witness(f, 17, "E").witness.values == (11,)
+
+
+def test_residue_conditions_take_one_variable():
+    f = parse_function("x+y")
+    for check in (lambda: check_condition_B(f, 6),
+                  lambda: check_condition_C(f, 6),
+                  lambda: check_condition_D(f, 6)):
+        with pytest.raises(InvalidArgument):
+            check()
+
+
+def test_polynomial_b_witness_is_not_cut_by_the_horizon():
+    # the Chinese remainder theorem puts it within the radical, 30
+    v = check_condition_B(parse_function("x^3+1"), 90, horizon=2)
+    assert v.status is Status.HOLDS and v.witness.point == (6,)
+
+
+def test_period_longer_than_the_horizon_proves_nothing():
+    # 2^x - 2 is 0 mod 7 at x = 1 and 2 at x = 2; ord_7(2) = 3
+    f = parse_function("2^x-2")
+    assert check_condition_C(f, 7, horizon=1).status is Status.UNKNOWN
+    assert check_condition_C(f, 7, horizon=3).witness.point == (2,)
+    assert check_condition_B(f, 21, horizon=1).status is Status.UNKNOWN
+    assert check_condition_B(f, 21, horizon=2).witness.point == (2,)

@@ -1,4 +1,5 @@
-"""The exact point searches against a plain loop over the same points.
+"""The exact point searches and the residue scans against a plain loop
+over the same points.
 
 Seeded random shapes (univariate polynomials, c*b^x+d, c*b^(x-k)+d with
 no value below x = k, piecewise, two-variable polynomials) and moduli
@@ -10,8 +11,10 @@ import itertools
 import math
 import random
 
-from primework.conditions import (Status, check_system_conditions,
-                                  find_value_witness)
+from primework.conditions import (Status, check_condition_B,
+                                  check_condition_C, check_condition_D,
+                                  check_system_conditions, find_value_witness)
+from primework.analysis import classify
 from primework.expr import evaluate, parse_function
 from primework.factorial import least_factorial_witness
 
@@ -161,3 +164,93 @@ def test_least_factorial_witness_matches_brute_force():
             assert (w.point, w.values) == brute
             assert tuple(evaluate(f, w.point) for f in fs) == w.values
     assert found
+
+
+def _check_residue(f, fn, v, q, ok):
+    """B, C or D modulo q: a witness is the least x whose value ok
+    accepts; a Fails names an obstruction dividing q and every value far
+    past the horizon; an Unknown (never for a polynomial) has no witness
+    within the horizon."""
+    brute = _least((fn,), 1, HORIZON[1], ok)
+    if v.status is Status.HOLDS:
+        assert (v.witness.point, v.witness.values) == brute
+        assert v.witness.modulus == q
+    elif v.status is Status.FAILS:
+        assert q % v.obstruction == 0
+        assert all(fn(x) is None or fn(x) % v.obstruction == 0
+                   for x in range(1, FAILS_REACH[1] + 1))
+    else:
+        assert brute is None
+        assert f.arity == 1 and not classify(f).is_polynomial
+
+
+def test_residue_conditions_match_brute_force():
+    rng = random.Random(20261019)
+    seen = set()
+    for _ in range(200):
+        draw = rng.choice(UNIVARIATE)
+        f, fn = _shape(rng, draw)
+        # small moduli too, so that every value of a piecewise shape can
+        # share a factor with m
+        m = rng.randint(2, rng.choice((6, 300)))
+        v = check_condition_B(f, m, HORIZON[1])
+        seen.add(("B", v.status))
+        _check_residue(f, fn, v, m, lambda x: math.gcd(x, m) == 1)
+        v = check_condition_C(f, m, HORIZON[1])
+        seen.add(("C", v.status))
+        _check_residue(f, fn, v, m, lambda x: x % m != 0)
+        for p, v in check_condition_D(f, rng.randint(2, 40),
+                                      HORIZON[1]).items():
+            seen.add(("D", v.status))
+            _check_residue(f, fn, v, p, lambda x: x % p != 0)
+    assert seen == {(c, s) for c in "BCD" for s in Status}
+
+
+# factors with a fixed divisor: x(x+1) is even, x^3 - x a multiple of 6,
+# (x+y)(x+y+1)(x+y+2) a multiple of 6
+_FIXED_FACTORS = (("x*(x+1)", lambda x, y: x * (x + 1)),
+                  ("x^3-x", lambda x, y: x**3 - x),
+                  ("(x+y)*(x+y+1)*(x+y+2)",
+                   lambda x, y: (x + y) * (x + y + 1) * (x + y + 2)))
+
+
+def test_polynomial_systems_match_a_residue_sweep():
+    rng = random.Random(29)
+    seen = set()
+    for _ in range(80):
+        members = []
+        for _ in range(2):
+            text, fn = _poly2(rng)
+            if rng.random() < 0.3:
+                ftext, ffn = rng.choice(_FIXED_FACTORS)
+                text = f"({ftext})*({text})"
+                fn = (lambda g, h: lambda x, y: g(x, y) * h(x, y))(ffn, fn)
+            members.append((parse_function(text, arity=2), fn))
+        fs = tuple(f for f, _ in members)
+        fns = [fn for _, fn in members]
+        m = rng.randint(2, 120)
+        v = check_system_conditions(fs, m, HORIZON[2])
+        seen.add(v.status)
+        # the least prime of m dividing the product at every residue pair
+        blocked = next((p for p in range(2, m + 1) if m % p == 0
+                        and all(p % d for d in range(2, p))
+                        and all(math.prod(g(x, y) for g in fns) % p == 0
+                                for x in range(p) for y in range(p))), None)
+        if blocked is not None:
+            assert (v.status, v.obstruction) == (Status.FAILS, blocked)
+            continue
+        assert v.status is not Status.FAILS
+        w = v.witness
+        _check(fs, fns, 2, w and w.point, w and w.values, v.status,
+               lambda x: x > 1 and math.gcd(x, m) == 1)
+    assert seen == set(Status)
+
+
+def test_fixed_divisor_past_the_horizon():
+    # every value of 20011*x is a multiple of 20011, a modulus beyond
+    # the 10^4 horizon: C and D fail on the fixed divisor alone
+    f = parse_function("20011*x")
+    for v in (check_condition_C(f, 20011), check_condition_D(f, 20011)[20011],
+              check_condition_B(f, 20011)):
+        assert (v.status, v.obstruction) == (Status.FAILS, 20011)
+    assert check_condition_C(f, 20011 * 3).witness.point == (1,)

@@ -94,6 +94,17 @@ def test_poly_bound_suite():
     assert rep.clean
 
 
+def test_poly_bound_suite_records_a_missing_witness():
+    # every value of x^2 + x is even: no witness for m = 100 within the
+    # horizon, recorded as S = 0 (the suite used to loop forever here)
+    rep = verify_bound(parse_function("x^2+x"), "poly", (100, 100))
+    assert rep.violations == ((100, 0),)
+    # x^2 + x + 1 has S = 1 (value 3) for m = 100 and S = 2 (value 7) for
+    # m = 111 = 3 * 37; both lie inside the bound
+    rep = verify_bound(parse_function("x^2+x+1"), "poly", (100, 111))
+    assert rep.threshold == 40 and rep.clean
+
+
 def test_linear_fermat_bound_suite():
     f = parse_function("2^(2^x)+1")
     rep = verify_bound(f, "linear_fermat", (2, 300))
