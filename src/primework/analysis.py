@@ -195,12 +195,11 @@ def fixed_divisor(f: NtFunction, profile: FunctionProfile | None = None,
 
 
 def univariate_coeffs(f: NtFunction) -> list[int]:
-    """Dense coefficient list (constant first) of a univariate polynomial."""
-    if f.arity != 1:
-        raise NotUnivariatePolynomial(f"arity {f.arity}")
+    """Dense coefficient list (constant first) of a univariate polynomial;
+    NotUnivariatePolynomial, naming f, for any other function."""
     coeffs = _analysis(f).coeffs
     if coeffs is None:
-        raise NotUnivariatePolynomial("not a polynomial")
+        raise NotUnivariatePolynomial(str(f))
     return coeffs[:]
 
 
@@ -298,14 +297,19 @@ def _cauchy_outside(coeffs: list[int], m: int) -> int:
 
 def _ge_probe(f: NtFunction, point: tuple[int, ...], m: int, nonneg: bool,
               config: WorkbenchConfig) -> bool:
-    """Is f(point) >= m?  Uses a bit-length shortcut for huge values."""
-    probe_budget = m.bit_length() + 16
+    """Is f(point) >= m?  Uses a bit-length shortcut for huge values.
+    False where f has no value: f is nondecreasing where defined, so an
+    undefined point can only move a threshold later or leave none."""
+    probe = config.with_overrides(bit_budget=m.bit_length() + 16)
     try:
-        return evaluate(f, point, config=config.with_overrides(bit_budget=probe_budget)) >= m
-    except EvaluationBudgetExceeded:
-        if nonneg:
-            return True  # nonnegative and far more bits than m
-        return evaluate(f, point, config=config) >= m
+        try:
+            return evaluate(f, point, config=probe) >= m
+        except EvaluationBudgetExceeded:
+            if nonneg:
+                return True  # nonnegative and far more bits than m
+            return evaluate(f, point, config=config) >= m
+    except (DomainError, EvaluationError):
+        return False
 
 
 def _axis_threshold(f: NtFunction, axis: int, m: int, nonneg: bool,
@@ -424,10 +428,7 @@ def exceeds_one_from(f: NtFunction,
         return max(body.branches[-1][0] + 1, tail[0]), tail[1]
     t = traits(body)
     if t.nondec and 1 in t.unbounded:
-        try:
-            th = _axis_threshold(f, 0, 2, t.nonneg, config)
-        except (DomainError, EvaluationError):
-            return None  # a probe hit an undefined point: no certificate
+        th = _axis_threshold(f, 0, 2, t.nonneg, config)
         if th is not None:
             return th, True
     return None
@@ -556,15 +557,9 @@ def is_mersenne_shape(f: NtFunction) -> bool:
     return exp_linear_shape(f) == (1, 2, -1)
 
 
+_FERMAT_BODY = Add(Pow(Const(2), Pow(Const(2), Var(1))), Const(1))
+
+
 def is_fermat_shape(f: NtFunction) -> bool:
     """True for 2^(2^x) + 1."""
-    body = f.body
-    if f.arity != 1 or not isinstance(body, Add):
-        return False
-    head, one = body.left, body.right
-    if not (isinstance(one, Const) and one.value == 1):
-        return False
-    return (isinstance(head, Pow) and isinstance(head.base, Const)
-            and head.base.value == 2 and isinstance(head.exponent, Pow)
-            and isinstance(head.exponent.base, Const) and head.exponent.base.value == 2
-            and isinstance(head.exponent.exponent, Var))
+    return f.arity == 1 and f.body == _FERMAT_BODY

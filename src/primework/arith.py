@@ -37,16 +37,22 @@ _small_prime_set: frozenset[int] = frozenset()
 _trial_product = 1  # product of the first 30 primes, 2..113
 
 
+def prime_flags(limit: int) -> bytearray:
+    """flags[n] == 1 exactly when n is prime, for 0 <= n <= limit; a
+    plain sieve of limit + 1 bytes with no memory guard."""
+    bs = bytearray([1]) * (limit + 1)
+    bs[:2] = bytes(min(2, limit + 1))
+    for i in range(2, math.isqrt(limit) + 1):
+        if bs[i]:
+            bs[i * i :: i] = bytearray(len(range(i * i, limit + 1, i)))
+    return bs
+
+
 def _flat_sieve(limit: int) -> list[int]:
     """Plain sieve, no memory guard.  Internal use for modest limits."""
     if limit < 2:
         return []
-    bs = bytearray([1]) * (limit + 1)
-    bs[0] = bs[1] = 0
-    for i in range(2, math.isqrt(limit) + 1):
-        if bs[i]:
-            bs[i * i :: i] = bytearray(len(range(i * i, limit + 1, i)))
-    return list(itertools.compress(range(limit + 1), bs))
+    return list(itertools.compress(range(limit + 1), prime_flags(limit)))
 
 
 def _ensure_small_primes():

@@ -283,17 +283,24 @@ def _cmd_verify_paper(args, config):
             True, lines, passed == len(results))
 
 
-_HANDLERS = {
-    "conditions": _cmd_conditions,
-    "sfm": _cmd_sfm,
-    "phi": _cmd_phi,
-    "pi": _cmd_pi,
-    "crt-analogy": _cmd_crt_analogy,
-    "fermat": _cmd_fermat,
-    "density": _cmd_density,
-    "ap": _cmd_ap,
-    "factorial": _cmd_factorial,
-    "verify-paper": _cmd_verify_paper,
+# name -> (handler, help text)
+_COMMANDS = {
+    "conditions": (_cmd_conditions,
+                   "necessary-condition report for a function mod m"),
+    "sfm": (_cmd_sfm, "least witness with values coprime to m"),
+    "phi": (_cmd_phi, "count distinct residue patterns that are units mod m"),
+    "pi": (_cmd_pi,
+           "count distinct values up to a limit via pairwise coprimality"),
+    "crt-analogy": (_cmd_crt_analogy,
+                    "test whether unit witnesses lift to a product modulus"),
+    "fermat": (_cmd_fermat,
+               "doubly exponential terms: records, membership mod m"),
+    "density": (_cmd_density,
+                "density constants, predicted vs actual prime counts"),
+    "ap": (_cmd_ap, "least primes in arithmetic progressions"),
+    "factorial": (_cmd_factorial,
+                  "witnesses with values coprime to and below l!"),
+    "verify-paper": (_cmd_verify_paper, "run the built-in verification corpus"),
 }
 
 
@@ -318,20 +325,8 @@ def _build_parser() -> _Parser:
                      description="number-theoretic function workbench")
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
-    helps = {
-        "conditions": "necessary-condition report for a function mod m",
-        "sfm": "least witness with values coprime to m",
-        "phi": "count distinct residue patterns that are units mod m",
-        "pi": "count distinct values up to a limit via pairwise coprimality",
-        "crt-analogy": "test whether unit witnesses lift to a product modulus",
-        "fermat": "doubly exponential terms: records, membership mod m",
-        "density": "density constants, predicted vs actual prime counts",
-        "ap": "least primes in arithmetic progressions",
-        "factorial": "witnesses with values coprime to and below l!",
-        "verify-paper": "run the built-in verification corpus",
-    }
-    for name, handler in _HANDLERS.items():
-        sub.add_parser(name, parents=[common], help=helps[name])
+    for name, (_, help_text) in _COMMANDS.items():
+        sub.add_parser(name, parents=[common], help=help_text)
     return parser
 
 
@@ -348,7 +343,7 @@ def main(argv=None) -> int:
                   "x_min": args.x_min}.items() if v is not None}
     try:
         config = resolve_config(overrides)
-        payload, conclusive, lines, ok = _HANDLERS[args.command](args, config)
+        payload, conclusive, lines, ok = _COMMANDS[args.command][0](args, config)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

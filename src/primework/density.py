@@ -27,24 +27,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .analysis import _Scan, classify, iter_points, univariate_coeffs
-from .arith import is_prime, sieve_primes
+from .analysis import _Scan, iter_points, univariate_coeffs
+from .arith import euler_phi, is_prime, prime_flags, sieve_primes
 from .config import DEFAULT_CONFIG, WorkbenchConfig
 from .errors import (EvaluationBudgetExceeded, InvalidArgument, NotCoprime,
                      NotUnivariatePolynomial)
 from .expr import FunctionSystem, NtFunction
-
-
-def _require_univariate_polys(fs: FunctionSystem,
-                              config: WorkbenchConfig) -> list[list[int]]:
-    """Coefficient lists (ascending degree) for every member."""
-    out = []
-    for f in fs:
-        prof = classify(f, config)
-        if not (prof.is_polynomial and prof.arity == 1):
-            raise NotUnivariatePolynomial(str(f))
-        out.append(univariate_coeffs(f))
-    return out
 
 
 def _product_coeffs(coeff_lists: list[list[int]]) -> list[int]:
@@ -200,7 +188,7 @@ def _root_counter(coeff_lists: list[list[int]]):
 def omega_p(fs: FunctionSystem, p: int,
             config: WorkbenchConfig = DEFAULT_CONFIG) -> int:
     """Roots of f_1(x)*...*f_s(x) mod p among 0..p-1, exactly."""
-    coeff_lists = _require_univariate_polys(fs, config)
+    coeff_lists = [univariate_coeffs(f) for f in fs]
     if not is_prime(p, config):
         raise InvalidArgument(f"{p} is not prime")
     return _root_counter(coeff_lists)(p)
@@ -221,7 +209,7 @@ def bateman_horn_constant(fs: FunctionSystem, prime_cutoff: int,
     A prime with omega(p) = p is a divisibility obstruction: the system
     can produce at most finitely many primes and C is reported as 0,
     flagged, rather than raised."""
-    coeff_lists = _require_univariate_polys(fs, config)
+    coeff_lists = [univariate_coeffs(f) for f in fs]
     return _bh_constant(_root_counter(coeff_lists), len(coeff_lists),
                         prime_cutoff, config)
 
@@ -260,21 +248,20 @@ def predicted_count(fs: FunctionSystem, m: int, prime_cutoff: int = 10**5,
                     config: WorkbenchConfig = DEFAULT_CONFIG) -> PredictedCount:
     """Both textbook shapes of the predicted prime count up to m; the
     sum form is the one to trust at desk scale."""
-    degrees = _prediction_degrees(fs, m, config)
+    degrees = _prediction_degrees(fs, m)
     c = bateman_horn_constant(fs, prime_cutoff, config).value
     return _prediction(degrees, m, c)
 
 
-def _prediction_degrees(fs: FunctionSystem, m: int,
-                        config: WorkbenchConfig) -> list[int]:
+def _prediction_degrees(fs: FunctionSystem, m: int) -> list[int]:
     if m < 2:
         raise InvalidArgument("m must be at least 2")
     degrees = []
     for f in fs:
-        prof = classify(f, config)
-        if not (prof.is_polynomial and prof.arity == 1 and prof.total_degree):
+        d = len(univariate_coeffs(f)) - 1
+        if not d:
             raise NotUnivariatePolynomial(str(f))
-        degrees.append(prof.total_degree)
+        degrees.append(d)
     return degrees
 
 
@@ -298,11 +285,7 @@ def actual_count(fs: FunctionSystem, m: int,
             f"a value at n={scan.cut[0]} exceeds the bit budget")
     top = max((v for vals in rows for v in vals), default=0)
     if top and top <= 10**7:
-        composite = bytearray(top + 1)
-        for p in sieve_primes(int(math.isqrt(top)), config):
-            composite[p * p::p] = b"\x01" * len(range(p * p, top + 1, p))
-        def prime(v: int) -> bool:
-            return not composite[v]
+        prime = prime_flags(top).__getitem__
     else:
         def prime(v: int) -> bool:
             return is_prime(v, config)
@@ -319,8 +302,15 @@ def dlvp_ratio(a: int, b: int, x: int,
     if x < 2:
         raise InvalidArgument("x must be at least 2")
     count = sum(1 for p in sieve_primes(x, config) if p % b == a % b)
-    phi_b = sum(1 for r in range(1, b + 1) if math.gcd(r, b) == 1)
-    return count * phi_b * math.log(x) / x
+    return count * euler_phi(b, config) * math.log(x) / x
+
+
+def _progression(a: int, b: int, config: WorkbenchConfig) -> range:
+    """The values a + b*x, b >= 1, for x from 0 (1 under
+    strict_positive_n) to config.horizon: what every progression search
+    walks."""
+    start = 1 if config.strict_positive_n else 0
+    return range(a + b * start, a + b * config.horizon + 1, b)
 
 
 @dataclass(frozen=True)
@@ -346,13 +336,11 @@ def least_prime_ap(k: int,
     Unknown: entries stop before that l and p_k is None."""
     if k < 2:
         raise InvalidArgument("k must be at least 2")
-    start = 1 if config.strict_positive_n else 0
     entries = []
     for l in range(1, k + 1):
         if math.gcd(l, k) != 1:
             continue
-        least = next((v for v in range(l + start * k,
-                                       l + config.horizon * k + 1, k)
+        least = next((v for v in _progression(l, k, config)
                       if v >= 2 and is_prime(v, config)), None)
         if least is None:
             return ApLeastPrimeTable(k, tuple(entries), None, None)
@@ -389,11 +377,10 @@ def ap_product_inequality(a: int, b: int, n_max: int,
     if n_max < 1:
         raise InvalidArgument("n_max must be at least 1")
     need = n_max + 1
-    start = 1 if config.strict_positive_n else 0
+    values = _progression(a, b, config)
     primes: list[int] = []
-    if need <= config.horizon + 1 - start:
-        for x in range(start, config.horizon + 1):
-            v = a + b * x
+    if need <= len(values):
+        for v in values:
             if v >= 2 and is_prime(v, config):
                 primes.append(v)
                 if len(primes) == need:
@@ -428,15 +415,16 @@ class DensityEstimate:
 def density_estimate(fs: FunctionSystem, prime_cutoff: int, m: int,
                      config: WorkbenchConfig = DEFAULT_CONFIG) -> DensityEstimate:
     """One-stop aggregate: constant, omega sample, prediction, truth."""
-    degrees = tuple(classify(f, config).total_degree or 0 for f in fs)
-    omega = _root_counter(_require_univariate_polys(fs, config))
+    coeff_lists = [univariate_coeffs(f) for f in fs]
+    omega = _root_counter(coeff_lists)
     bh = _bh_constant(omega, len(fs), prime_cutoff, config)
     sample = tuple((p, omega(p)) for p in sieve_primes(100, config))
     if bh.obstruction is None:
-        pred = _prediction(_prediction_degrees(fs, m, config), m, bh.value)
+        pred = _prediction(_prediction_degrees(fs, m), m, bh.value)
         predicted_sum, predicted_closed = pred.sum_form, pred.closed_form
     else:
         predicted_sum = predicted_closed = 0.0
+    degrees = tuple(len(cs) - 1 for cs in coeff_lists)
     return DensityEstimate(tuple(str(f) for f in fs), degrees, prime_cutoff,
                            bh.value, bh.relative_change, bh.obstruction,
                            sample, m, predicted_sum, predicted_closed,

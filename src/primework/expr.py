@@ -310,13 +310,13 @@ def _fmt(node: Node) -> str:
     if isinstance(node, Var):
         return _var_name(node.index)
     if isinstance(node, Add):
-        return f"{_fmt(node.left)} + {_fmt_addend(node.right)}"
+        return f"{_fmt(node.left)} + {_fmt_operand(node.right)}"
     if isinstance(node, Sub):
-        return f"{_fmt(node.left)} - {_fmt_addend(node.right)}"
+        return f"{_fmt(node.left)} - {_fmt_operand(node.right)}"
     if isinstance(node, Neg):
-        return f"-{_fmt_mulend(node.operand)}"
+        return f"-{_fmt_operand(node.operand)}"
     if isinstance(node, Mul):
-        return f"{_fmt_mulend(node.left)} * {_fmt_mulend(node.right)}"
+        return f"{_fmt_operand(node.left)} * {_fmt_operand(node.right)}"
     if isinstance(node, Pow):
         return f"{_fmt_powbase(node.base)}^{_fmt_powexp(node.exponent)}"
     if isinstance(node, Floor):
@@ -328,14 +328,9 @@ def _fmt(node: Node) -> str:
     raise TypeError(f"not a node: {node!r}")
 
 
-def _fmt_addend(node: Node) -> str:
-    # right operand of +/-: wrap anything that would re-associate
-    if isinstance(node, (Add, Sub, Neg)):
-        return f"({_fmt(node)})"
-    return _fmt(node)
-
-
-def _fmt_mulend(node: Node) -> str:
+def _fmt_operand(node: Node) -> str:
+    # operand of *, of unary - and right operand of +/-: wrap anything
+    # that would re-associate
     if isinstance(node, (Add, Sub, Neg)):
         return f"({_fmt(node)})"
     return _fmt(node)

@@ -12,10 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .analysis import (_Scan, classify, is_fermat_shape, is_identity,
-                       is_mersenne_shape, iter_points)
-from .arith import (euler_phi_range, factorize, multiplicative_order,
-                    smallest_factor_table)
+from .analysis import classify, is_fermat_shape, is_identity, is_mersenne_shape
+from .arith import (euler_phi_range, least_coprime_exceeding_one,
+                    multiplicative_order, smallest_factor_table)
 from .conditions import Status, check_system_conditions, find_value_witness
 from .config import DEFAULT_CONFIG, SCAN_HORIZON, WorkbenchConfig
 from .errors import BoundFunctionMismatch, InvalidArgument
@@ -37,47 +36,11 @@ def s_f(f: NtFunction, m: int, horizon: int = SCAN_HORIZON,
     point=None with conclusive=True means no witness exists at all;
     conclusive=False means the horizon ran out first.
     """
-    if is_mersenne_shape(f):
-        n = _mersenne_least(m, horizon, config)
-        if n is not None:
-            return LeastWitnessRecord(m, (n,), (2**n - 1,), True)
-        return LeastWitnessRecord(m, None, (), False)
     verdict = find_value_witness(f, m, "E", horizon, config)
     if verdict.status is Status.HOLDS:
         w = verdict.witness
         return LeastWitnessRecord(m, w.point, w.values, True)
     return LeastWitnessRecord(m, None, (), verdict.status is Status.FAILS)
-
-
-def _mersenne_orders(m: int, config: WorkbenchConfig,
-                     cache: dict | None = None) -> list[int]:
-    """ord_p(2) for each odd prime p dividing m."""
-    out = []
-    t = m
-    while t % 2 == 0:
-        t //= 2
-    if t == 1:
-        return out
-    for p, _ in factorize(t, config).factors:
-        if cache is not None and p in cache:
-            out.append(cache[p])
-            continue
-        d = multiplicative_order(2, p, config)
-        if cache is not None:
-            cache[p] = d
-        out.append(d)
-    return out
-
-
-def _mersenne_least(m: int, horizon: int, config: WorkbenchConfig,
-                    cache: dict | None = None) -> int | None:
-    """S for 2^x - 1 by order reasoning: p divides 2^n - 1 exactly when
-    ord_p(2) divides n, so the least good n avoids every order."""
-    orders = _mersenne_orders(m, config, cache)
-    for n in range(2, horizon + 1):
-        if all(n % d for d in orders):
-            return n
-    return None
 
 
 def s_system(fs: tuple[NtFunction, ...], m: int,
@@ -137,12 +100,9 @@ def verify_bound(f: NtFunction, bound_kind: str, m_range: tuple[int, int],
 
 def _sqrt_suite(lo: int, hi: int) -> BoundReport:
     # S for the identity is the least a > 1 coprime to m
-    gcd = math.gcd
     bad = []
     for m in range(max(lo, 2), hi + 1):
-        a = 2
-        while gcd(a, m) != 1:
-            a += 1
+        a = least_coprime_exceeding_one(m)
         if a * a >= m:
             bad.append((m, a))
     return BoundReport("sqrt", lo, hi, tuple(bad))
@@ -186,14 +146,11 @@ def _poly_suite(f: NtFunction, lo: int, hi: int,
     threshold = 10 * L * 2**d
     bad = []
     for m in range(max(lo, threshold + 1), hi + 1):
-        scan = _Scan((f,), iter_points(1, SCAN_HORIZON),
-                     lambda v: v > 1 and math.gcd(v, m) == 1, config)
-        for (x,), _ in scan:
-            if L * x**d >= m:  # claim is S < (m/L)^(1/d)
-                bad.append((m, x))
-            break
-        else:
-            bad.append((m, 0))  # no witness within the horizon
+        rec = s_f(f, m, config=config)
+        if rec.point is None:
+            bad.append((m, 0))  # no witness, or none within the horizon
+        elif L * rec.point[0]**d >= m:  # claim is S < (m/L)^(1/d)
+            bad.append((m, rec.point[0]))
     return BoundReport("poly", lo, hi, tuple(bad), threshold=threshold)
 
 

@@ -196,6 +196,8 @@ def test_fermat_x_min_zero_admits_f0(capsys):
     ["conditions", "-f", "x", "--modulus", "1"],
     ["phi", "-f", "x", "--modulus", "1"],
     ["factorial", "-f", "x", "--limit", "1"],
+    # 2^x - 1 once took a route of its own that accepted modulus 1
+    ["sfm", "-f", "2^x-1", "--modulus", "1"],
 ])
 def test_out_of_range_argument_is_a_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -308,3 +310,31 @@ def test_bad_config_file_is_a_usage_error(capsys, tmp_path, monkeypatch,
     code, out, err = run(capsys, "ap", "--modulus", "100")
     assert (code, out) == (1, "")
     assert err == f"error: InvalidArgument: {path}{message}\n"
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["phi", "-f", "2^(x-2)+1", "--modulus", "10"],
+     "count: 2  (box 5, exact)\n"),
+    (["pi", "-f", "2^(x-2)+1", "--limit", "20"],
+     "count: 4  (method exact)\nsubset: [2, 3, 5, 17]\n"),
+    (["crt-analogy", "-f", "2^(x-2)+1", "--a", "3", "--b", "5"],
+     "status: Lifts\n"
+     "witness mod 3: x=2 value=2\n"
+     "witness mod 5: x=2 value=2\n"
+     "witness mod 15: x=2 value=2\n"),
+], ids=["phi", "pi", "crt-analogy"])
+def test_envelope_probe_skips_undefined_points(capsys, argv, expected):
+    # 2^(x-2)+1 has no value at x = 1, where the envelope probe starts
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (0, expected, "")
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["density", "-f", "2^x-1", "--limit", "100"],
+     "error: NotUnivariatePolynomial: 2^x - 1\n"),
+    (["density", "-s", "x; 1", "--limit", "100"],
+     "error: NotUnivariatePolynomial: 1\n"),
+], ids=["function", "system"])
+def test_density_names_the_member_it_rejects(capsys, argv, expected):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", expected)

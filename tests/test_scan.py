@@ -110,10 +110,6 @@ def test_value_witness_matches_brute_force():
         k = f.arity
         m = rng.randint(2, 300)
         for mode, ok in _value_tests(m).items():
-            if mode == "Zm" and draw is _shifted_exp:
-                # the Zm envelope probes every x from 1 and still raises
-                # where f has no value
-                continue
             v = find_value_witness(f, m, mode, HORIZON[k])
             seen.add((mode, v.status))
             w = v.witness

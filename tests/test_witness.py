@@ -14,7 +14,7 @@ from primework.witness import (exponent_identity_check, s_f, s_system,
 
 
 def s_f_mersenne_scan(m):
-    """Plain gcd scan for S of 2^x - 1: the oracle for the order route."""
+    """Plain gcd scan for S of 2^x - 1: the oracle for s_f."""
     for n in range(2, 10**4 + 1):
         if math.gcd((pow(2, n, m) - 1) % m, m) == 1:
             return n
@@ -103,6 +103,45 @@ def test_poly_bound_suite_records_a_missing_witness():
     # m = 111 = 3 * 37; both lie inside the bound
     rep = verify_bound(parse_function("x^2+x+1"), "poly", (100, 111))
     assert rep.threshold == 40 and rep.clean
+
+
+def poly_suite_scan(coeffs, lo, hi):
+    """Plain reference for the poly bound suite: for each m past the
+    threshold 10 * L * 2^d, the least x up to 10^4 whose value exceeds
+    1 and is coprime to m, recorded when L * x^d >= m, or 0 when there
+    is none."""
+    d, L = len(coeffs) - 1, coeffs[-1]
+    threshold = 10 * L * 2**d
+    values = [(x, sum(c * x**i for i, c in enumerate(coeffs)))
+              for x in range(1, 10**4 + 1)]
+    bad = []
+    for m in range(max(lo, threshold + 1), hi + 1):
+        for x, v in values:
+            if v > 1 and math.gcd(v, m) == 1:
+                if L * x**d >= m:
+                    bad.append((m, x))
+                break
+        else:
+            bad.append((m, 0))
+    return threshold, tuple(bad)
+
+
+POLY_SUITE_CASES = [
+    ("x^2+1", [1, 0, 1]),
+    ("x^3+2", [2, 0, 0, 1]),
+    ("2*x^2+3*x+5", [5, 3, 2]),
+    ("x^4-3*x+7", [7, -3, 0, 0, 1]),
+    ("x^2+x", [0, 1, 1]),
+    ("x^2-x+2", [2, -1, 1]),
+    ("3*x+6", [6, 3]),
+]
+
+
+@pytest.mark.parametrize("text, coeffs", POLY_SUITE_CASES,
+                         ids=[text for text, _ in POLY_SUITE_CASES])
+def test_poly_bound_suite_matches_plain_scan(text, coeffs):
+    rep = verify_bound(parse_function(text), "poly", (2, 400))
+    assert (rep.threshold, rep.violations) == poly_suite_scan(coeffs, 2, 400)
 
 
 def test_linear_fermat_bound_suite():
