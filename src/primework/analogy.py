@@ -15,13 +15,12 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .analysis import _ge_probe, _required_side, iter_points, traits
+from .analysis import _box, _Scan, iter_points
 from .arith import is_prime
 from .conditions import Witness
 from .config import DEFAULT_CONFIG, SCAN_HORIZON, WorkbenchConfig
-from .errors import (DomainError, EvaluationBudgetExceeded, EvaluationError,
-                     InvalidArgument, ModuliNotCoprime)
-from .expr import FunctionSystem, NtFunction, evaluate, parse_function
+from .errors import InvalidArgument, ModuliNotCoprime
+from .expr import FunctionSystem, parse_function
 
 
 class LiftStatus(Enum):
@@ -42,47 +41,24 @@ class AnalogyResult:
     function_text: str | None = None
 
 
-def _strict_zm_member(f: NtFunction, nonneg: bool, point: tuple[int, ...],
-                      m: int, config: WorkbenchConfig) -> bool:
-    """True when 1 < f(point) < m and gcd = 1; the range test runs a
-    budgeted probe first so towering values are never materialized."""
-    try:
-        if _ge_probe(f, point, m, nonneg, config):
-            return False
-        v = evaluate(f, point, config=config)
-    except (DomainError, EvaluationError, EvaluationBudgetExceeded):
-        return False
-    return v > 1 and math.gcd(v, m) == 1
-
-
 def find_zm_witness(fs: FunctionSystem, m: int, box: int | None = None,
                     config: WorkbenchConfig = DEFAULT_CONFIG,
                     ) -> tuple[Witness | None, bool]:
     """Least point with every member value strictly between 1 and m
-    and coprime to m.  Second element reports whether an empty result
-    is conclusive (envelope-certified full coverage)."""
+    and coprime to m, with the values the scan computed.  The box
+    follows analysis._box, its fallback about min(config.horizon,
+    SCAN_HORIZON) points in all.  Second element reports whether an
+    empty result is conclusive: the box covers the envelope's side and
+    no value ran over the bit budget."""
     if m < 2:
         raise InvalidArgument("modulus must be at least 2")
-    k = fs[0].arity
-    required = _required_side(fs, m, config)
-    if box is None:
-        side = required if required is not None else min(config.horizon,
-                                                         SCAN_HORIZON)
-    else:
-        side = box
-    conclusive = required is not None and side >= required
-
-    nonnegs = tuple(traits(f.body).nonneg for f in fs)
-    best: tuple[int, ...] | None = None
-    for point in iter_points(k, side):
-        if all(_strict_zm_member(f, nn, point, m, config)
-               for f, nn in zip(fs, nonnegs)):
-            best = point
-            break
-    if best is None:
-        return None, conclusive
-    values = tuple(evaluate(f, best, config=config) for f in fs)
-    return Witness(best, values, m), True
+    _, scanned, covered = _box(fs, m, box, min(config.horizon, SCAN_HORIZON),
+                               config)
+    scan = _Scan(fs, iter_points(fs[0].arity, scanned),
+                 lambda v: 1 < v < m and math.gcd(v, m) == 1, config)
+    for point, values in scan:
+        return Witness(point, values, m), True
+    return None, covered and scan.cut is None
 
 
 def _combine_status(wa: Witness | None, ca: bool,

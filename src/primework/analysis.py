@@ -295,42 +295,44 @@ def _cauchy_outside(coeffs: list[int], m: int) -> int:
     return int(bound) + 1
 
 
-def _ge_probe(f: NtFunction, point: tuple[int, ...], m: int, nonneg: bool,
-              config: WorkbenchConfig) -> bool:
-    """Is f(point) >= m?  Uses a bit-length shortcut for huge values.
-    False where f has no value: f is nondecreasing where defined, so an
-    undefined point can only move a threshold later or leave none."""
-    probe = config.with_overrides(bit_budget=m.bit_length() + 16)
+def _ge_probe(f: NtFunction, point: tuple[int, ...], m: int,
+              config: WorkbenchConfig) -> bool | None:
+    """Is f(point) >= m?  One evaluation at the config's bit budget (at
+    least m's bits plus 16).  False where f has no value: f is
+    nondecreasing where defined, so an undefined point can only move a
+    threshold later or leave none.  None when the value is past the
+    budget: a huge intermediate may still be multiplied by 0, so its
+    size proves nothing about the value."""
+    probe = config.with_overrides(
+        bit_budget=max(config.bit_budget, m.bit_length() + 16))
     try:
-        try:
-            return evaluate(f, point, config=probe) >= m
-        except EvaluationBudgetExceeded:
-            if nonneg:
-                return True  # nonnegative and far more bits than m
-            return evaluate(f, point, config=config) >= m
+        return evaluate(f, point, config=probe) >= m
     except (DomainError, EvaluationError):
         return False
+    except EvaluationBudgetExceeded:
+        return None
 
 
-def _axis_threshold(f: NtFunction, axis: int, m: int, nonneg: bool,
+def _axis_threshold(f: NtFunction, axis: int, m: int,
                     config: WorkbenchConfig) -> int | None:
     """Least t with f(1,..,t,..,1) >= m along one axis, by doubling then
-    bisection.  None if not reached by 2**62."""
-    def at(t: int) -> tuple[int, ...]:
-        return tuple(t if i == axis else 1 for i in range(f.arity))
-    if _ge_probe(f, at(1), m, nonneg, config):
-        return 1
-    hi = 2
-    while hi < 2**62:
-        if _ge_probe(f, at(hi), m, nonneg, config):
-            break
+    bisection.  None if not reached by 2**62 or if a probe on the way
+    cannot decide."""
+    def at(t: int) -> bool | None:
+        return _ge_probe(f, tuple(t if i == axis else 1
+                                  for i in range(f.arity)), m, config)
+    hi = 1
+    while not (reached := at(hi)):
         hi *= 2
-    else:
-        return None
+        if reached is None or hi >= 2**62:
+            return None
     lo = hi // 2  # f(lo) < m <= f(hi)
     while lo + 1 < hi:
         mid = (lo + hi) // 2
-        if _ge_probe(f, at(mid), m, nonneg, config):
+        reached = at(mid)
+        if reached is None:
+            return None
+        if reached:
             hi = mid
         else:
             lo = mid
@@ -353,7 +355,7 @@ def envelope_outside_bound(f: NtFunction, m: int,
     if t.nondec and t.unbounded == frozenset(range(1, f.arity + 1)):
         worst = 1
         for axis in range(f.arity):
-            th = _axis_threshold(f, axis, m, t.nonneg, config)
+            th = _axis_threshold(f, axis, m, config)
             if th is None:
                 break
             worst = max(worst, th)
@@ -379,15 +381,26 @@ def envelope_outside_bound(f: NtFunction, m: int,
     return None
 
 
-def _required_side(fs, bound: int, config: WorkbenchConfig) -> int | None:
-    """Side beyond which some member provably leaves [1, bound-1],
-    killing every tuple; None when no member has an envelope."""
-    best = None
+def _box(fs, bound: int, box: int | None, points: int,
+         config: WorkbenchConfig) -> tuple[int, int, bool]:
+    """The one box rule of the Phi, Pi and Z_bound^* scans: (side,
+    scanned, covered).  Past the required side some member provably
+    leaves [1, bound-1], killing every tuple.  The side is `box`, else
+    the required side, else about `points` points in all; covered says
+    it reaches the required side, and then only that is scanned."""
+    required = None
     for f in fs:
         x = envelope_outside_bound(f, bound, config)
-        if x is not None and (best is None or x < best):
-            best = x
-    return None if best is None else best - 1
+        if x is not None and (required is None or x - 1 < required):
+            required = x - 1
+    if box is not None:
+        side = box
+    elif required is not None:
+        side = required
+    else:
+        side = max(1, int(round(points ** (1.0 / fs[0].arity))))
+    covered = required is not None and side >= required
+    return side, required if covered else side, covered
 
 
 def _below_one_from(f: NtFunction) -> int | None:
@@ -428,7 +441,7 @@ def exceeds_one_from(f: NtFunction,
         return max(body.branches[-1][0] + 1, tail[0]), tail[1]
     t = traits(body)
     if t.nondec and 1 in t.unbounded:
-        th = _axis_threshold(f, 0, 2, t.nonneg, config)
+        th = _axis_threshold(f, 0, 2, config)
         if th is not None:
             return th, True
     return None

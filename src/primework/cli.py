@@ -171,7 +171,8 @@ def _cmd_pi(args, config):
         raise _UsageError("pi takes a single --function")
     _require(args, "limit")
     res = pi_general_exact(fs[0], args.limit, config=config)
-    lines = [f"count: {res.value}  (method {res.method})",
+    incomplete = "" if res.enumeration_complete else ", incomplete"
+    lines = [f"count: {res.value}  (method {res.method}{incomplete})",
              f"subset: {sorted(res.subset)}"]
     return ({"function": str(fs[0]), "result": res},
             res.enumeration_complete, lines, True)

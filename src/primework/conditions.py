@@ -208,13 +208,17 @@ def find_value_witness(f: NtFunction, m: int, mode: str,
     """Least-point witness scans for the value conditions E, F, G and for
     plain membership of a value in Z_m^* (mode "Zm").  An empty scan is
     a Fails only for univariate f, through an envelope or period
-    certificate, and only when no value ran over the bit budget."""
+    certificate, and only when no value ran over the bit budget.  E and
+    G on a multivariate f are the one-member system form, whose Fails
+    is the fixed-divisor certificate of check_system_conditions."""
     if mode not in VALUE_MODES:
         raise InvalidArgument(f"mode must be one of {VALUE_MODES}")
     if m < 2:
         raise InvalidArgument("modulus must be >= 2")
     if mode == "G" and not is_prime(m, config):
         raise GRequiresPrime(f"{m} is not prime")
+    if f.arity > 1 and mode in ("E", "G"):
+        return check_system_conditions((f,), m, horizon, config)
     if mode == "Zm":
         accept = lambda v: 1 <= v < m and math.gcd(v, m) == 1
     elif mode == "F":

@@ -14,8 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .analysis import (_required_side, _Scan, envelope_outside_bound,
-                       is_identity)
+from .analysis import _box, _Scan, is_identity
 from .arith import factor_with_table, factorize, smallest_factor_table
 from .config import DEFAULT_CONFIG, SCAN_HORIZON, WorkbenchConfig
 from .conditions import Status, find_value_witness
@@ -40,11 +39,6 @@ class PiResult:
     enumeration_complete: bool = True
 
 
-def _fallback_side(k: int, config: WorkbenchConfig) -> int:
-    # keep the point count near the horizon when no envelope exists
-    return max(1, int(round(config.horizon ** (1.0 / k))))
-
-
 def phi_general(fs: FunctionSystem, n: int, box: int | None = None,
                 config: WorkbenchConfig = DEFAULT_CONFIG) -> PhiResult:
     """Count distinct tuples (f_1(X),...,f_s(X)) with every component
@@ -53,27 +47,19 @@ def phi_general(fs: FunctionSystem, n: int, box: int | None = None,
         raise InvalidArgument("n must be at least 2")
     if not fs:
         raise InvalidArgument("empty system")
-    k = fs[0].arity
-    required = _required_side(fs, n, config)
-    if box is None:
-        side = required if required is not None else _fallback_side(k, config)
-    else:
-        side = box
-    exact = required is not None and side >= required
-
+    side, scanned, covered = _box(fs, n, box, config.horizon, config)
     if len(fs) == 1 and is_identity(fs[0]):
         gcd = math.gcd
-        limit = min(side, n - 1)
-        count = sum(1 for a in range(1, limit + 1) if gcd(a, n) == 1)
-        return PhiResult(n, count, side, exact)
+        count = sum(1 for a in range(1, min(scanned, n - 1) + 1)
+                    if gcd(a, n) == 1)
+        return PhiResult(n, count, side, covered)
 
     single = len(fs) == 1
-    # past the required side some member leaves [1, n-1]: nothing counts
-    scanned = required if exact else side
-    scan = _Scan(fs, itertools.product(range(1, scanned + 1), repeat=k),
+    scan = _Scan(fs, itertools.product(range(1, scanned + 1),
+                                       repeat=fs[0].arity),
                  lambda v: 1 <= v < n and math.gcd(v, n) == 1, config)
     seen = {vals[0] if single else vals for _, vals in scan}
-    return PhiResult(n, len(seen), side, exact and scan.cut is None)
+    return PhiResult(n, len(seen), side, covered and scan.cut is None)
 
 
 def _distinct_values(f: NtFunction, x: int,
@@ -82,15 +68,12 @@ def _distinct_values(f: NtFunction, x: int,
     covers every attainable one."""
     if is_identity(f):
         return set(range(2, x + 1)), True
-    env = envelope_outside_bound(f, x + 1, config)
-    if env is not None:
-        side, complete = env - 1, True
-    else:
-        side, complete = _fallback_side(f.arity, config), False
-    scan = _Scan((f,), itertools.product(range(1, side + 1), repeat=f.arity),
+    _, scanned, covered = _box((f,), x + 1, None, config.horizon, config)
+    scan = _Scan((f,), itertools.product(range(1, scanned + 1),
+                                         repeat=f.arity),
                  lambda v: 1 < v <= x, config)
     values = {v for _, (v,) in scan}
-    return values, complete and scan.cut is None
+    return values, covered and scan.cut is None
 
 
 def _supports(values: list[int],

@@ -88,3 +88,21 @@ def test_cache_is_not_part_of_the_function():
     assert dataclasses.asdict(f) == dataclasses.asdict(g)
     # each instance carries its own analysis
     assert "_analysis" in vars(f) and "_analysis" not in vars(g)
+
+
+def test_envelope_probe_is_undecided_past_the_budget():
+    # 2^(2^x) * floor(x/25) is 0 below x = 25: a huge intermediate says
+    # nothing about the value, so the probe gives no answer there and
+    # the envelope no threshold
+    f = parse_function("2^(2^x)*floor(x/25)+floor(x/20)+1")
+    assert analysis._ge_probe(f, (8,), 5, DEFAULT_CONFIG) is False
+    assert analysis._ge_probe(f, (20,), 2, DEFAULT_CONFIG) is True
+    assert analysis._ge_probe(f, (32,), 5, DEFAULT_CONFIG) is None
+    assert analysis.envelope_outside_bound(f, 5) is None
+    # no value at x = 1; below the bound there
+    g = parse_function("2^(x-2)+1")
+    assert analysis._ge_probe(g, (1,), 2, DEFAULT_CONFIG) is False
+    # the probe's budget is never below the bits of the bound
+    tight = DEFAULT_CONFIG.with_overrides(bit_budget=4)
+    assert analysis._ge_probe(parse_function("2^x"), (40,), 2**40,
+                              tight) is True

@@ -338,3 +338,34 @@ def test_envelope_probe_skips_undefined_points(capsys, argv, expected):
 def test_density_names_the_member_it_rejects(capsys, argv, expected):
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (1, "", expected)
+
+
+_TOWER_TIMES_ZERO = "2^(2^x)*floor(x/25)+floor(x/20)+1"
+
+
+@pytest.mark.parametrize("argv, code, expected", [
+    # f is 1 below x = 20 and 2 up to x = 24, but 2^(2^24) runs over the
+    # bit budget: the envelope has no threshold and the scan is cut there
+    (["phi", "-f", _TOWER_TIMES_ZERO, "--modulus", "5"], 2,
+     "count: 2  (box 1000000, lower bound)\n"),
+    (["pi", "-f", _TOWER_TIMES_ZERO, "--limit", "5"], 2,
+     "count: 1  (method exact, incomplete)\nsubset: [2]\n"),
+    (["phi", "-f", "2^(2^x)*floor(x/25)-1", "--modulus", "5"], 2,
+     "count: 0  (box 1000000, lower bound)\n"),
+    (["crt-analogy", "-f", _TOWER_TIMES_ZERO, "--a", "2", "--b", "5"], 2,
+     "status: Unknown\n"
+     "witness mod 2: none\n"
+     "witness mod 5: x=20 value=2\n"
+     "witness mod 10: none\n"),
+    # no envelope: the fallback box has about 10^4 points in all
+    (["crt-analogy", "-f", "3*x*y-3*x+3", "--a", "3", "--b", "4"], 2,
+     "status: Unknown\n"
+     "witness mod 3: none\n"
+     "witness mod 4: x=(1, 1) value=3\n"
+     "witness mod 12: none\n"),
+    # 3 divides every value: the system form's fixed-divisor Fails
+    (["sfm", "-f", "3*x*y+3", "--modulus", "3"], 0, "no witness\n"),
+], ids=["phi-tower", "pi-tower", "phi-tower-negative", "crt-analogy-tower",
+        "crt-analogy-two-variables", "sfm-two-variables"])
+def test_over_budget_probe_and_fallback_boxes(capsys, argv, code, expected):
+    assert run(capsys, *argv) == (code, expected, "")

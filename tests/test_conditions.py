@@ -257,3 +257,20 @@ def test_period_longer_than_the_horizon_proves_nothing():
     assert check_condition_C(f, 7, horizon=3).witness.point == (2,)
     assert check_condition_B(f, 21, horizon=1).status is Status.UNKNOWN
     assert check_condition_B(f, 21, horizon=2).witness.point == (2,)
+
+
+def test_multivariate_e_and_g_are_the_system_form():
+    # every value of 3xy + 3 is a multiple of 3: the fixed divisor
+    # closes E and G at once instead of a 10^4-per-axis scan
+    f = parse_function("3*x*y+3")
+    for mode in ("E", "G"):
+        v = find_value_witness(f, 3, mode)
+        assert (v.status, v.obstruction) == (Status.FAILS, 3)
+        assert v == check_system_conditions((f,), 3)
+    v = find_value_witness(f, 10, "E")
+    assert v.witness.point == (1, 2) and v.witness.values == (9,)
+    assert v == check_system_conditions((f,), 10)
+    # every value of 2^x * y is even, but no certificate says so: the
+    # system form runs out of its horizon
+    v = find_value_witness(parse_function("2^x*y"), 2, "E", horizon=3)
+    assert (v.status, v.horizon) == (Status.UNKNOWN, 3)

@@ -14,7 +14,9 @@ import random
 from primework.conditions import (Status, check_condition_B,
                                   check_condition_C, check_condition_D,
                                   check_system_conditions, find_value_witness)
+from primework.analogy import find_zm_witness
 from primework.analysis import classify
+from primework.config import DEFAULT_CONFIG
 from primework.expr import evaluate, parse_function
 from primework.factorial import least_factorial_witness
 
@@ -137,6 +139,44 @@ def test_system_conditions_match_brute_force():
                w and w.values, v.status,
                lambda x: x > 1 and math.gcd(x, m) == 1)
     assert seen == set(Status)
+
+
+# the fallback box of find_zm_witness has about this many points in
+# all: 400 for one variable and 20 per axis for two, the HORIZON sides
+ZM_CONFIG = DEFAULT_CONFIG.with_overrides(horizon=400)
+
+
+def test_zm_witness_matches_brute_force():
+    rng = random.Random(20261020)
+    seen = set()
+    for _ in range(200):
+        draw = rng.choice(UNIVARIATE + (_poly2,))
+        shapes = [_shape(rng, draw)]
+        if rng.random() < 0.4:  # a two-member system of the same arity
+            shapes.append(_shape(rng, _poly2 if draw is _poly2
+                                 else rng.choice(UNIVARIATE)))
+        fs = tuple(f for f, _ in shapes)
+        fns = [fn for _, fn in shapes]
+        k = fs[0].arity
+        m = rng.randint(2, 300)
+        # boxes small enough to fall short of the envelope's side at times
+        box = rng.choice((None, rng.randint(1, HORIZON[k] // 6)))
+        w, conclusive = find_zm_witness(fs, m, box, ZM_CONFIG)
+        seen.add((w is not None, conclusive))
+        ok = lambda v: 1 < v < m and math.gcd(v, m) == 1
+        if w is not None:
+            # every point before the witness in scan order has max-norm
+            # at most the witness's, so the least point up to that side
+            # is the least point anywhere
+            assert conclusive and w.modulus == m
+            assert box is None or max(w.point) <= box
+            assert (w.point, w.values) == _least(fns, k, max(w.point), ok)
+        elif conclusive:
+            assert _least(fns, k, FAILS_REACH[k], ok) is None
+        else:
+            assert _least(fns, k, box or HORIZON[k], ok) is None
+    # a witness is always conclusive; every other outcome is reached
+    assert seen == {(True, True), (False, True), (False, False)}
 
 
 def test_least_factorial_witness_matches_brute_force():
