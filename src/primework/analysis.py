@@ -93,7 +93,7 @@ def _normal_form(node: Node, arity: int) -> dict | None:
 class _Analysis:
     """What is known about one function, filled in on first use."""
 
-    __slots__ = ("nf", "coeffs", "profiles")
+    __slots__ = ("nf", "coeffs", "profiles", "exceeds")
 
     def __init__(self, f: NtFunction):
         self.nf = _normal_form(f.body, f.arity)
@@ -105,6 +105,8 @@ class _Analysis:
             for k, c in self.nf.items():
                 self.coeffs[k[0]] = c
         self.profiles: dict[WorkbenchConfig, FunctionProfile] = {}
+        # exceeds_one_from per config; per-m envelopes are not kept
+        self.exceeds: dict[WorkbenchConfig, tuple[int, bool] | None] = {}
 
 
 def _analysis(f: NtFunction) -> _Analysis:
@@ -274,6 +276,8 @@ def traits(node: Node) -> Traits:
         a = traits(node.numerator)
         return Traits(a.nonneg, False, a.nondec, a.unbounded if a.nondec else _NO_VARS)
     if isinstance(node, Neg):
+        if _is_const_subtree(node.operand):
+            return Traits(False, False, True, _NO_VARS)  # a constant
         return _BOTTOM
     if isinstance(node, Piecewise):
         return _BOTTOM
@@ -340,17 +344,26 @@ def _axis_threshold(f: NtFunction, axis: int, m: int,
 
 
 def envelope_outside_bound(f: NtFunction, m: int,
-                           config: WorkbenchConfig = DEFAULT_CONFIG) -> int | None:
-    """A bound X such that any point with some coordinate >= X has
-    f(point) outside [1, m-1].  None when no certificate applies.
+                           config: WorkbenchConfig = DEFAULT_CONFIG,
+                           ) -> tuple[int, bool] | None:
+    """The one tail certificate: (X, above) such that f(point) lies
+    outside [1, m-1] at every defined point with some coordinate >= X,
+    on one side: f(point) >= m when above, else f(point) < 1.  None when
+    no certificate applies.  For m < 2 the range is empty: X is 1 and
+    the side claims nothing.
+
+    The routes, in order: a nondecreasing f unbounded in every variable
+    (bisection along each axis: above); c*b^x + d with c < 0, which
+    strictly decreases (below); a univariate piecewise f (its tail's
+    side, from past the last branch); a constant (its own side); a
+    univariate polynomial (the Cauchy bound, on the side of the lead).
 
     With such an X, exhausting the box [1, X)^k turns an empty scan
     into a proof that no value of f lies in Z_m^*.
     """
     if m < 2:
-        return 1
+        return 1, True
     body = f.body
-    # monotone route first: bisection gives tight bounds
     t = traits(body)
     if t.nondec and t.unbounded == frozenset(range(1, f.arity + 1)):
         worst = 1
@@ -360,24 +373,27 @@ def envelope_outside_bound(f: NtFunction, m: int,
                 break
             worst = max(worst, th)
         else:
-            return worst
-    x = _below_one_from(f)
-    if x is not None:
-        return x
+            return worst, True
+    shape = exp_linear_shape(f)
+    if shape is not None and shape[0] < 0:
+        c, b, d = shape  # strictly decreasing: once below 1, it stays
+        x = 1
+        while c * b**x + d >= 1:
+            x += 1
+        return x, False
     if isinstance(body, Piecewise) and f.arity == 1:
-        tail = NtFunction(1, body.default)
-        tail_bound = envelope_outside_bound(tail, m, config)
-        if tail_bound is None:
+        tail = envelope_outside_bound(NtFunction(1, body.default), m, config)
+        if tail is None:
             return None
-        return max(body.branches[-1][0] + 1, tail_bound)
+        return max(body.branches[-1][0] + 1, tail[0]), tail[1]
     a = _analysis(f)
     nf = a.nf
     if nf is not None:
         if not nf or max(sum(k) for k in nf) == 0:
             v = nf.get((0,) * f.arity, 0)
-            return 1 if not 1 <= v <= m - 1 else None
+            return None if 1 <= v <= m - 1 else (1, v >= m)
         if f.arity == 1:
-            return _cauchy_outside(a.coeffs, m)
+            return _cauchy_outside(a.coeffs, m), a.coeffs[-1] > 0
     return None
 
 
@@ -390,9 +406,9 @@ def _box(fs, bound: int, box: int | None, points: int,
     it reaches the required side, and then only that is scanned."""
     required = None
     for f in fs:
-        x = envelope_outside_bound(f, bound, config)
-        if x is not None and (required is None or x - 1 < required):
-            required = x - 1
+        env = envelope_outside_bound(f, bound, config)
+        if env is not None and (required is None or env[0] - 1 < required):
+            required = env[0] - 1
     if box is not None:
         side = box
     elif required is not None:
@@ -403,48 +419,25 @@ def _box(fs, bound: int, box: int | None, points: int,
     return side, required if covered else side, covered
 
 
-def _below_one_from(f: NtFunction) -> int | None:
-    """Least X with f(x) < 1 for every x >= X when f is c*b^x + d with
-    c < 0, which strictly decreases: once below 1, it stays."""
-    shape = exp_linear_shape(f)
-    if shape is None or shape[0] > 0:
-        return None
-    c, b, d = shape
-    x = 1
-    while c * b**x + d >= 1:
-        x += 1
-    return x
-
-
 def exceeds_one_from(f: NtFunction,
                      config: WorkbenchConfig = DEFAULT_CONFIG) -> tuple[int, bool] | None:
     """For univariate f: (X, True) when f(x) > 1 for all x >= X, or
-    (X, False) when f(x) < 1 for all x >= X.  None if undetermined."""
+    (X, False) when f(x) <= 1 for all x >= X.  None if undetermined.
+    This is envelope_outside_bound(f, 2), plus a tail that is the
+    constant 1: it lies inside [1, 1] but never exceeds 1.  Cached per
+    config, since it does not depend on a modulus."""
     if f.arity != 1:
         return None
     a = _analysis(f)
-    nf = a.nf
-    if nf is not None and nf and max(k[0] for k in nf) > 0:
-        X = _cauchy_outside(a.coeffs, 2)  # outside [1,1] means <1 or >=2
-        return X, a.coeffs[-1] > 0
-    if nf is not None:  # constant polynomial
-        v = nf.get((0,), 0)
-        return 1, v > 1
-    x = _below_one_from(f)
-    if x is not None:
-        return x, False
-    body = f.body
-    if isinstance(body, Piecewise):
-        tail = exceeds_one_from(NtFunction(1, body.default), config)
-        if tail is None:
-            return None
-        return max(body.branches[-1][0] + 1, tail[0]), tail[1]
-    t = traits(body)
-    if t.nondec and 1 in t.unbounded:
-        th = _axis_threshold(f, 0, 2, config)
-        if th is not None:
-            return th, True
-    return None
+    if config not in a.exceeds:
+        cert = envelope_outside_bound(f, 2, config)
+        tail, start = f.body, 1
+        if isinstance(tail, Piecewise):
+            tail, start = tail.default, tail.branches[-1][0] + 1
+        if cert is None and _normal_form(tail, 1) == {(0,): 1}:
+            cert = start, False
+        a.exceeds[config] = cert
+    return a.exceeds[config]
 
 
 # --- scan order ----------------------------------------------------------

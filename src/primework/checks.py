@@ -16,7 +16,8 @@ import math
 from dataclasses import dataclass
 
 from .analogy import (LiftStatus, check_crt_analogy,
-                      check_piecewise_counterexample, scan_for_lift_failures)
+                      check_piecewise_counterexample, find_zm_witness,
+                      scan_for_lift_failures)
 from .arith import euler_phi, factorize, is_prime
 from .analysis import classify
 from .conditions import (Status, check_condition_B, find_value_witness,
@@ -112,13 +113,14 @@ def _c9(config):
 
 @_check("cubic_shift_no_unit_mod_90")
 def _c10(config):
-    v = find_value_witness(parse_function("x^3+1"), 90, "Zm", 10**4, config)
-    return ("fails", v.status.value)
+    w, conclusive = find_zm_witness((parse_function("x^3+1"),), 90,
+                                    config=config)
+    return ("fails", "holds" if w else ("fails" if conclusive else "unknown"))
 
 
 @_check("negative_quadratic_nonzero_mod_7")
 def _c11(config):
-    v = find_value_witness(parse_function("-x^2+6"), 7, "F", 10**4, config)
+    v = find_value_witness(parse_function("-x^2+6"), 7, "F", config=config)
     w = v.witness
     return ("holds x=1 value 5",
             f"{v.status.value} x={w.point[0]} value {w.values[0]}"
@@ -127,7 +129,8 @@ def _c11(config):
 
 @_check("negative_quadratic_coprime_chain_stops_at_2")
 def _c12(config):
-    seq = generate_coprime_sequence(parse_function("-x^2+6"), 3, 10**4, config)
+    seq = generate_coprime_sequence(parse_function("-x^2+6"), 3,
+                                    config=config)
     vals = [v for _, v in seq.entries]
     return ([5, 2], vals)
 

@@ -34,8 +34,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .analysis import (_analysis, _Scan, classify, envelope_outside_bound,
-                       exceeds_one_from, exp_linear_shape, iter_points)
+from .analysis import (_analysis, _Scan, classify, exceeds_one_from,
+                       exp_linear_shape, iter_points)
 from .arith import factorize, is_prime, multiplicative_order, sieve_primes
 from .config import DEFAULT_CONFIG, SCAN_HORIZON, WorkbenchConfig
 from .errors import (DomainError, EvaluationBudgetExceeded, EvaluationError,
@@ -75,8 +75,7 @@ def _residues(f: NtFunction, q: int, limit: int):
     no value is skipped, as _Scan skips it.  Residue periods are
     certified only for polynomials and c*b^x + d, which have no such
     points, so a skip never hides a point that a Fails rests on."""
-    if f.arity != 1:
-        raise InvalidArgument("conditions B, C and D take a univariate function")
+    _require_univariate(f)
     coeffs = _analysis(f).coeffs
     if coeffs is not None:
         red = [c % q for c in reversed(coeffs)]
@@ -92,6 +91,11 @@ def _residues(f: NtFunction, q: int, limit: int):
         except (DomainError, EvaluationError):
             continue  # f has no value at x
         yield x, r
+
+
+def _require_univariate(f: NtFunction) -> None:
+    if f.arity != 1:
+        raise InvalidArgument("conditions B, C and D take a univariate function")
 
 
 def _holds_at(f: NtFunction, x: int, modulus: int,
@@ -199,18 +203,19 @@ def check_condition_B(f: NtFunction, m: int, horizon: int = SCAN_HORIZON,
     return Verdict(Status.UNKNOWN, horizon=horizon)
 
 
-VALUE_MODES = ("E", "F", "G", "Zm")
+VALUE_MODES = ("E", "F", "G")
 
 
 def find_value_witness(f: NtFunction, m: int, mode: str,
                        horizon: int = SCAN_HORIZON,
                        config: WorkbenchConfig = DEFAULT_CONFIG) -> Verdict:
-    """Least-point witness scans for the value conditions E, F, G and for
-    plain membership of a value in Z_m^* (mode "Zm").  An empty scan is
-    a Fails only for univariate f, through an envelope or period
-    certificate, and only when no value ran over the bit budget.  E and
-    G on a multivariate f are the one-member system form, whose Fails
-    is the fixed-divisor certificate of check_system_conditions."""
+    """Least-point witness scans for the value conditions E, F and G.
+    An empty scan is a Fails only for univariate f, through the tail
+    certificate of exceeds_one_from (a reading of the envelope) and a
+    residue period, and only when no value ran over the bit budget.  E
+    and G on a multivariate f are the one-member system form, whose
+    Fails is the fixed-divisor certificate of check_system_conditions.
+    Membership of a value in Z_m^* is analogy.find_zm_witness."""
     if mode not in VALUE_MODES:
         raise InvalidArgument(f"mode must be one of {VALUE_MODES}")
     if m < 2:
@@ -219,9 +224,7 @@ def find_value_witness(f: NtFunction, m: int, mode: str,
         raise GRequiresPrime(f"{m} is not prime")
     if f.arity > 1 and mode in ("E", "G"):
         return check_system_conditions((f,), m, horizon, config)
-    if mode == "Zm":
-        accept = lambda v: 1 <= v < m and math.gcd(v, m) == 1
-    elif mode == "F":
+    if mode == "F":
         accept = lambda v: v > 1 and v % m != 0
     else:  # E, G: value exceeds 1 and is coprime to m
         accept = lambda v: v > 1 and math.gcd(v % m, m) == 1
@@ -240,11 +243,6 @@ def _value_certificate(f: NtFunction, m: int, mode: str, horizon: int,
                        config: WorkbenchConfig) -> tuple[int, Verdict | None]:
     """Scan limit for univariate f, and the Fails an empty scan up to
     that limit proves (None when no certificate fits in the horizon)."""
-    if mode == "Zm":
-        env = envelope_outside_bound(f, m, config)
-        if env is None or env - 1 > horizon:
-            return horizon, None
-        return env - 1, Verdict(Status.FAILS)
     cert = exceeds_one_from(f, config)
     if cert is None:
         return horizon, None
@@ -344,6 +342,9 @@ def condition_report(f: NtFunction, m: int, horizon: int = SCAN_HORIZON,
     a pairwise-coprime sequence of length omega(m) + 1 was reached.
     """
     primes = [p for p, _ in factorize(m, config).factors]
+    if m < 2:  # refused before A's scan, with B's message
+        raise InvalidArgument("condition B needs a modulus >= 2")
+    _require_univariate(f)
     verdicts = {}
     seq = generate_coprime_sequence(f, len(primes) + 1, horizon, config)
     verdicts["A"] = Verdict(Status.HOLDS if seq.achieved == len(primes) + 1

@@ -14,10 +14,10 @@ import itertools
 import math
 from dataclasses import dataclass
 
+from .analogy import find_zm_witness
 from .analysis import _box, _Scan, is_identity
 from .arith import factor_with_table, factorize, smallest_factor_table
-from .config import DEFAULT_CONFIG, SCAN_HORIZON, WorkbenchConfig
-from .conditions import Status, find_value_witness
+from .config import DEFAULT_CONFIG, WorkbenchConfig
 from .errors import CapExceeded, InvalidArgument
 from .expr import FunctionSystem, NtFunction
 
@@ -172,10 +172,13 @@ def pi_general_greedy(f: NtFunction, x: int,
 
 def implication_check(f: NtFunction, m_range: tuple[int, int],
                       config: WorkbenchConfig = DEFAULT_CONFIG) -> list[dict]:
-    """Whenever Pi_f(m) > omega(m), some value of f must sit in Z_m^*.
+    """Whenever Pi_f(m) > omega(m), some value of f must sit in Z_m^*:
+    of more than omega(m) pairwise coprime values in (1, m], one shares
+    no prime with m, so find_zm_witness must find a value in (1, m).
 
-    Returns violating m (expected none: this is a theorem, so an entry
-    means an implementation bug)."""
+    Returns violating m with the search's outcome, FAILS (proven empty)
+    or UNKNOWN (expected none: this is a theorem, so an entry means an
+    implementation bug)."""
     lo, hi = m_range
     if lo < 2 or hi < lo:
         raise InvalidArgument("bad range")
@@ -186,12 +189,12 @@ def implication_check(f: NtFunction, m_range: tuple[int, int],
         omega_m = len(factor_with_table(m, spf))
         if pi.value <= omega_m:
             continue
-        verdict = find_value_witness(f, m, "Zm", SCAN_HORIZON, config)
-        if verdict.status is not Status.HOLDS:
+        witness, conclusive = find_zm_witness((f,), m, config=config)
+        if witness is None:
             violations.append({
                 "m": m,
                 "pi": pi.value,
                 "omega": omega_m,
-                "zm_witness_status": verdict.status.name,
+                "zm_witness_status": "FAILS" if conclusive else "UNKNOWN",
             })
     return violations

@@ -108,12 +108,8 @@ def _values_in_zm(f: NtFunction, m: int, horizon: int,
     """Values of f strictly between 1 and m and coprime to m: the least
     one, its least argument, and the value at the least argument."""
     nondec = traits(f.body).nondec
-    if nondec:
-        limit = horizon
-    else:
-        # beyond the envelope no value lies in [1, m-1]
-        env = envelope_outside_bound(f, m, config)
-        limit = min(horizon, env - 1) if env is not None else horizon
+    env = envelope_outside_bound(f, m, config)  # past it, none in [1, m-1]
+    limit = horizon if env is None else min(horizon, env[0] - 1)
     best: tuple[int, int, int] | None = None
     scan = _Scan((f,), iter_points(1, limit),
                  lambda v: 1 < v < m and math.gcd(v, m) == 1, config)
@@ -192,26 +188,23 @@ def conjecture3_probe(fs: FunctionSystem, l_range: tuple[int, int],
 
 def section9_probe(fs: FunctionSystem, m_range: tuple[int, int],
                    horizon: int = SCAN_HORIZON,
-                   config: WorkbenchConfig = DEFAULT_CONFIG,
-                   factorial_base=None) -> ProbeReport:
+                   config: WorkbenchConfig = DEFAULT_CONFIG) -> ProbeReport:
     """Per index m: hunt a point whose values are simultaneously prime
-    and inside Z_{l!}^*, where l = factorial_base(m) (default: m
-    itself).  Violations are indices with nothing found in scan range."""
+    and inside Z_{m!}^*.  Violations are indices with nothing found in
+    scan range."""
     lo, hi = m_range
     if lo < 2 or hi < lo:
         raise InvalidArgument("bad range")
-    base = factorial_base or (lambda m: m)
     k = fs[0].arity
     entries: list[FactorialWitness | None] = []
     violations = []
     for m in range(lo, hi + 1):
-        l = base(m)
         found = None
         scan = _Scan(fs, iter_points(k, horizon),
-                     lambda v: in_factorial_zm(v, l, config)
+                     lambda v: in_factorial_zm(v, m, config)
                      and is_prime(v, config), config)
         for point, vals in scan:
-            found = FactorialWitness(l, point, vals, True, True)
+            found = FactorialWitness(m, point, vals, True, True)
             break
         entries.append(found)
         if found is None:

@@ -106,3 +106,19 @@ def test_envelope_probe_is_undecided_past_the_budget():
     tight = DEFAULT_CONFIG.with_overrides(bit_budget=4)
     assert analysis._ge_probe(parse_function("2^x"), (40,), 2**40,
                               tight) is True
+
+
+@pytest.mark.parametrize("shifted, negated", [
+    ("3*4^(x-3)-5", "3*4^(x-3)+(-5)"),
+    ("x^2-7", "x^2+(-7)"),
+    ("2^x+x-3", "2^x+(x+(-3))"),
+])
+def test_a_negated_constant_is_a_constant(shifted, negated):
+    # (-5) parses as Neg(Const(5)): as nondecreasing as the 5 of x-5
+    f, g = parse_function(shifted), parse_function(negated)
+    assert analysis.traits(g.body) == analysis.traits(f.body)
+    for m in (2, 7, 21, 300):
+        assert analysis.envelope_outside_bound(g, m) \
+            == analysis.envelope_outside_bound(f, m) is not None
+    assert analysis.exceeds_one_from(g) == analysis.exceeds_one_from(f)
+    assert not analysis.traits(parse_function("-(2)").body).nonneg

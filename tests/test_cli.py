@@ -1,6 +1,7 @@
 """CLI surface: exit codes, text output, JSON determinism."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -369,3 +370,30 @@ _TOWER_TIMES_ZERO = "2^(2^x)*floor(x/25)+floor(x/20)+1"
         "crt-analogy-two-variables", "sfm-two-variables"])
 def test_over_budget_probe_and_fallback_boxes(capsys, argv, code, expected):
     assert run(capsys, *argv) == (code, expected, "")
+
+
+@pytest.mark.parametrize("spelling", ["3*4^(x-3)-5", "3*4^(x-3)+(-5)"])
+def test_a_negated_constant_keeps_the_envelope(capsys, spelling):
+    # no value of 3*4^(x-3)-5 lies in Z_3^* or Z_7^*, proven from the
+    # envelope alike for both spellings
+    assert run(capsys, "crt-analogy", "-f", spelling,
+               "--a", "3", "--b", "7") == (
+        0, "status: Inapplicable\n"
+           "witness mod 3: none\n"
+           "witness mod 7: none\n"
+           "witness mod 21: none\n", "")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["-f", "2*x*y", "--modulus", "6"],
+     "conditions B, C and D take a univariate function"),
+    (["-f", "2*x*y", "--modulus", "1"], "condition B needs a modulus >= 2"),
+    (["-f", "x^2+1", "--modulus", "1"], "condition B needs a modulus >= 2"),
+], ids=["two-variables", "two-variables-modulus-1", "modulus-1"])
+def test_conditions_refuses_before_the_coprime_scan(capsys, argv, message):
+    # every value of 2*x*y is even: A's scan would run through 10^4
+    # points per axis before B refused the function
+    start = time.perf_counter()
+    assert run(capsys, "conditions", *argv) == (
+        1, "", f"error: InvalidArgument: {message}\n")
+    assert time.perf_counter() - start < 2

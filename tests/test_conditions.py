@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from primework.analogy import find_zm_witness
 from primework.analysis import envelope_outside_bound, exceeds_one_from
 from primework.conditions import (Status, check_condition_B,
                                   check_condition_C, check_condition_D,
@@ -67,11 +68,6 @@ def test_condition_b_witness_rechecks():
             assert math.gcd(evaluate(f, (x,)), m) == 1
 
 
-def test_zm_mode_cubic_mod_90_fails_conclusively():
-    v = find_value_witness(parse_function("x^3+1"), 90, "Zm", 10**4)
-    assert v.status is Status.FAILS
-
-
 def test_e_mode_cubic_mod_90_holds():
     v = find_value_witness(parse_function("x^3+1"), 90, "E", 10**4)
     assert v.status is Status.HOLDS
@@ -97,14 +93,14 @@ def test_zm_holds_implies_e_holds():
     for _ in range(120):
         f = rng.choice(fns)
         m = rng.randrange(2, 500)
-        zm = find_value_witness(f, m, "Zm", 2000)
-        if zm.status is Status.HOLDS:
-            v = zm.witness.values[0]
-            assert 1 <= v < m and math.gcd(v, m) == 1
-            # status-level implication; the witness itself may be the
-            # unit 1, which E skips
+        zm, _ = find_zm_witness((f,), m)
+        if zm is not None:
+            v = zm.values[0]
+            assert 1 < v < m and math.gcd(v, m) == 1
+            # a value in Z_m^* above 1 is an E witness, found no later
             e = find_value_witness(f, m, "E", 2000)
             assert e.status is Status.HOLDS
+            assert e.witness.point <= zm.point
 
 
 def test_coprime_sequence_identity():
@@ -219,12 +215,26 @@ def test_undefined_points_are_skipped():
     assert v.witness.point == (2,) and v.witness.values == (2, 4)
 
 
+def test_a_constant_one_tail_never_exceeds_one():
+    # the value 1 lies inside every envelope range [1, m-1], but it is
+    # no E or F witness: a tail that is the constant 1 still closes
+    f = parse_function("piecewise(x <= 3: 4, else: 1)")
+    assert envelope_outside_bound(f, 2) is None
+    assert exceeds_one_from(f) == (4, False)
+    assert exceeds_one_from(parse_function("2-1")) == (1, False)
+    v = find_value_witness(f, 2, "E")
+    assert v.status is Status.FAILS and v.horizon is None
+    assert find_value_witness(f, 3, "E").witness.point == (1,)
+    seq = generate_coprime_sequence(f, 2)
+    assert [v for _, v in seq.entries] == [4] and seq.capped
+
+
 def test_decreasing_exponential_is_below_one_for_good():
     # c*b^x + d with c < 0 falls below 1 at X and stays there
     for text, x in (("-2*3^x+5", 1), ("-3^x+20", 3), ("-2^x+9", 4)):
         f = parse_function(text)
         assert exceeds_one_from(f) == (x, False), text
-        assert envelope_outside_bound(f, 10) == x, text
+        assert envelope_outside_bound(f, 10) == (x, False), text
         assert all(evaluate(f, (t,)) >= 1 for t in range(1, x))
         assert all(evaluate(f, (t,)) < 1 for t in range(x, x + 30))
     f = parse_function("-3^x+20")

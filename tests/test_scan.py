@@ -15,7 +15,7 @@ from primework.conditions import (Status, check_condition_B,
                                   check_condition_C, check_condition_D,
                                   check_system_conditions, find_value_witness)
 from primework.analogy import find_zm_witness
-from primework.analysis import classify
+from primework.analysis import classify, envelope_outside_bound, exceeds_one_from
 from primework.config import DEFAULT_CONFIG
 from primework.expr import evaluate, parse_function
 from primework.factorial import least_factorial_witness
@@ -83,6 +83,13 @@ def _least(fns, k, horizon, ok):
     return None
 
 
+def _shell(k, n):
+    """The points of max-norm n, some more than once."""
+    for i in range(k):
+        for rest in itertools.product(range(1, n + 1), repeat=k - 1):
+            yield rest[:i] + (n,) + rest[i:]
+
+
 def _check(fs, fns, k, verdict_point, verdict_values, status, ok):
     """A witness is the brute-force least point and re-evaluates to its
     values; a Fails has no witness far past the horizon; an Unknown
@@ -99,8 +106,7 @@ def _check(fs, fns, k, verdict_point, verdict_values, status, ok):
 
 def _value_tests(m):
     return {"E": lambda v: v > 1 and math.gcd(v, m) == 1,
-            "F": lambda v: v > 1 and v % m != 0,
-            "Zm": lambda v: 1 <= v < m and math.gcd(v, m) == 1}
+            "F": lambda v: v > 1 and v % m != 0}
 
 
 def test_value_witness_matches_brute_force():
@@ -118,7 +124,7 @@ def test_value_witness_matches_brute_force():
             _check((f,), (fn,), k, w and w.point, w and w.values,
                    v.status, ok)
     # the sample reaches every outcome of every mode
-    assert seen == {(mode, s) for mode in ("E", "F", "Zm") for s in Status}
+    assert seen == {(mode, s) for mode in ("E", "F") for s in Status}
 
 
 def test_system_conditions_match_brute_force():
@@ -139,6 +145,38 @@ def test_system_conditions_match_brute_force():
                w and w.values, v.status,
                lambda x: x > 1 and math.gcd(x, m) == 1)
     assert seen == set(Status)
+
+
+def test_envelope_holds_on_its_side():
+    # (X, above): f >= m (above) or f < 1 at every defined point with
+    # max-norm >= X, checked X + 200 out for one variable and X + 10 per
+    # axis for two; exceeds_one_from's side over 300 points from its X
+    rng = random.Random(20261021)
+    seen = set()
+    for _ in range(200):
+        draw = rng.choice(UNIVARIATE + (_poly2,))
+        f, fn = _shape(rng, draw)
+        k = f.arity
+        for m in (2, rng.randint(3, 300)):
+            env = envelope_outside_bound(f, m)
+            seen.add(env and env[1])
+            if env is None:
+                continue
+            x, above = env
+            for n in range(x, x + (200 if k == 1 else 10) + 1):
+                for p in _shell(k, n):
+                    v = fn(*p)
+                    assert v is None or (v >= m if above else v < 1), \
+                        (str(f), m, p)
+        cert = exceeds_one_from(f)
+        seen.add(("exceeds", cert and cert[1]))
+        if cert is not None:
+            x, above = cert
+            for t in range(x, x + 300):
+                v = fn(t)
+                assert v is None or (v > 1 if above else v <= 1), (str(f), t)
+    assert seen == {None, True, False,
+                    ("exceeds", None), ("exceeds", True), ("exceeds", False)}
 
 
 # the fallback box of find_zm_witness has about this many points in
