@@ -240,6 +240,13 @@ def _estimated_sieve_bytes(limit: int) -> int:
     return limit // 2 // 8 + 48 * count_est
 
 
+def _check_sieve_budget(limit: int, config: WorkbenchConfig) -> None:
+    """MemoryBudgetExceeded when a sieve to limit would pass the cap."""
+    if _estimated_sieve_bytes(limit) > config.sieve_memory_cap:
+        raise MemoryBudgetExceeded(
+            f"sieve to {limit} needs ~{_estimated_sieve_bytes(limit)} bytes")
+
+
 _SEGMENT = 1 << 20
 
 
@@ -249,9 +256,7 @@ def sieve_primes(limit: int, config: WorkbenchConfig = DEFAULT_CONFIG) -> list[i
     Raises MemoryBudgetExceeded when the estimated footprint (dominated
     by the result list itself) would pass the configured cap.
     """
-    if _estimated_sieve_bytes(limit) > config.sieve_memory_cap:
-        raise MemoryBudgetExceeded(
-            f"sieve to {limit} needs ~{_estimated_sieve_bytes(limit)} bytes")
+    _check_sieve_budget(limit, config)
     if limit < 2:
         return []
     if limit <= 4 * _SEGMENT:

@@ -26,7 +26,7 @@ from .config import SCAN_HORIZON, WorkbenchConfig, resolve_config
 from .counting import phi_general, pi_general_exact
 from .density import (ap_product_inequality, density_estimate, dlvp_ratio,
                       least_prime_ap)
-from .errors import WorkbenchError
+from .errors import InvalidArgument, WorkbenchError
 from .expr import parse_function, parse_system
 from .factorial import least_factorial_witness
 from .fermat import fermat_in_zm, known_fermat_records
@@ -87,6 +87,15 @@ def _require(args, *names):
                               f"for this command")
 
 
+def _horizon(args, default):
+    """--horizon, or the command's default when it is not given."""
+    if args.horizon is None:
+        return default
+    if args.horizon < 0:
+        raise InvalidArgument("--horizon must be nonnegative")
+    return args.horizon
+
+
 def _fmt_witness(w):
     if w is None:
         return "none"
@@ -112,7 +121,7 @@ def _verdict_line(name, verdict):
 def _cmd_conditions(args, config):
     fs = _functions(args)
     _require(args, "modulus")
-    horizon = args.horizon or SCAN_HORIZON
+    horizon = _horizon(args, SCAN_HORIZON)
     if len(fs) > 1:
         verdict = check_system_conditions(fs, args.modulus, horizon, config)
         lines = [_verdict_line("H/I", verdict)]
@@ -134,7 +143,7 @@ def _cmd_conditions(args, config):
 def _cmd_sfm(args, config):
     fs = _functions(args)
     _require(args, "modulus")
-    horizon = args.horizon or SCAN_HORIZON
+    horizon = _horizon(args, SCAN_HORIZON)
     if len(fs) > 1:
         rec = s_system(fs, args.modulus, horizon, config)
     else:
@@ -209,7 +218,7 @@ def _cmd_fermat(args, config):
 
 def _cmd_density(args, config):
     _require(args, "limit")
-    cutoff = args.horizon or 10**5
+    cutoff = _horizon(args, 10**5)
     if args.a is not None or args.b is not None:
         _require(args, "a", "b")
         ratio = dlvp_ratio(args.a, args.b, args.limit, config)
@@ -255,7 +264,7 @@ def _cmd_ap(args, config):
 def _cmd_factorial(args, config):
     fs = _functions(args)
     _require(args, "limit")
-    horizon = args.horizon or SCAN_HORIZON
+    horizon = _horizon(args, SCAN_HORIZON)
     w = least_factorial_witness(fs, args.limit, horizon, config)
     if w is None:
         lines = [f"no witness found (horizon {horizon})"]

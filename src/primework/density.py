@@ -20,139 +20,41 @@ sum over the members: 1 for a linear member, 1 + (D/p) for a quadratic
 one of discriminant D, and deg gcd(x^p - x, f mod p) for a member f of
 degree 3 or more.  The finitely many p dividing E, and every p when
 E = 0, count the roots of P itself by that gcd.
+
+actual_count sieves over n instead of testing every value.  With a
+bound B (from m, a bound on the values and the degrees: up to the
+square root of the largest value, at most m for degree <= 2 and
+10 * sqrt(m) from degree 3), one bytearray over n in [1, m] strikes
+every n = r (mod p) for each prime p <= B and each root r of a member
+mod p.  Only n below X are evaluated exactly, where X is the largest
+of the members' envelope_outside_bound(f_i, B + 1) thresholds: past X
+every value exceeds B, so p | f_i(n) makes f_i(n) composite (and a
+member below 1 there ends the count at X).  A surviving n is counted
+at once when (B + 1)^2 exceeds every value, and otherwise tested by
+Horner and is_prime.  The bytearray and the prime flags need about
+m + B bytes (m + the largest value when that is at most 10^7: the
+flags then test every exact value too), checked against
+config.sieve_memory_cap before either is built.  The polynomial
+helpers (roots mod p, the gcd route, the resultant) live in poly.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
-from .analysis import _Scan, iter_points, univariate_coeffs
-from .arith import euler_phi, is_prime, prime_flags, sieve_primes
+from .analysis import (_analysis, _Scan, envelope_outside_bound, iter_points,
+                       univariate_coeffs)
+from .arith import (_check_sieve_budget, euler_phi, is_prime, prime_flags,
+                    sieve_primes)
 from .config import DEFAULT_CONFIG, WorkbenchConfig
-from .errors import (EvaluationBudgetExceeded, InvalidArgument, NotCoprime,
+from .errors import (EvaluationBudgetExceeded, InvalidArgument,
+                     MemoryBudgetExceeded, NotCoprime,
                      NotUnivariatePolynomial)
 from .expr import FunctionSystem, NtFunction
-
-
-def _product_coeffs(coeff_lists: list[list[int]]) -> list[int]:
-    prod = [1]
-    for cs in coeff_lists:
-        nxt = [0] * (len(prod) + len(cs) - 1)
-        for i, a in enumerate(prod):
-            for j, b in enumerate(cs):
-                nxt[i + j] += a * b
-        prod = nxt
-    return prod
-
-
-def _poly_mod(coeffs: list[int], p: int) -> list[int]:
-    cs = [c % p for c in coeffs]
-    while len(cs) > 1 and cs[-1] == 0:
-        cs.pop()
-    return cs
-
-
-def _mulmod_monic(a: list[int], b: list[int], g: list[int], p: int) -> list[int]:
-    """a * b mod (g, p) for monic g, with a and b already reduced mod g."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    d = len(g) - 1
-    for i in range(len(out) - 1, d - 1, -1):
-        c = out[i] % p
-        if c:
-            for j in range(d):
-                out[i - d + j] -= c * g[j]
-    del out[d:]
-    return [c % p for c in out]
-
-
-def _x_pow_mod(g: list[int], p: int) -> list[int]:
-    """x^p mod (g, p) for monic g of degree >= 1, as a dense list of
-    length deg g: left to right over the bits of p, squaring, then
-    multiplying by x as a shift."""
-    d = len(g) - 1
-    r = [1] + [0] * (d - 1)
-    for bit in bin(p)[2:]:
-        r = _mulmod_monic(r, r, g, p)
-        if bit == "1":
-            top = r[-1]
-            r = [0] + r[:-1]
-            if top:
-                r = [(c - top * gc) % p for c, gc in zip(r, g)]
-    return r
-
-
-def _poly_gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
-    while len(b) > 1 or b[0] != 0:
-        inv = pow(b[-1], -1, p)
-        r = a[:]
-        while len(r) >= len(b) and (len(r) > 1 or r[0] != 0):
-            f = r[-1] * inv % p
-            off = len(r) - len(b)
-            for j in range(len(b)):
-                r[off + j] = (r[off + j] - f * b[j]) % p
-            while len(r) > 1 and r[-1] == 0:
-                r.pop()
-            if len(r) < len(b):
-                break
-        a, b = b, r
-    return a
-
-
-def _distinct_roots_gcd(coeffs: list[int], p: int) -> int:
-    """Distinct roots mod p as deg gcd(x^p - x, g)."""
-    g = _poly_mod(coeffs, p)
-    if g == [0]:
-        return p
-    if len(g) == 1:
-        return 0
-    inv = pow(g[-1], -1, p)
-    g = [c * inv % p for c in g]
-    # x^p - x
-    h = _x_pow_mod(g, p) + [0]
-    h[1] = (h[1] - 1) % p
-    while len(h) > 1 and h[-1] == 0:
-        h.pop()
-    gcd = _poly_gcd_mod(g, h, p)
-    return len(gcd) - 1
-
-
-def _bareiss_det(rows: list[list[int]]) -> int:
-    """Exact determinant of an integer matrix by fraction-free
-    (Bareiss) elimination; every division is exact."""
-    m = [row[:] for row in rows]
-    n = len(m)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            lead = m[i][k]
-            m[i] = [0] * (k + 1) + [(pivot * a - lead * b) // prev for a, b
-                                    in zip(m[i][k + 1:], m[k][k + 1:])]
-        prev = pivot
-    return sign * m[-1][-1] if n else 1
-
-
-def _sylvester(a: list[int], b: list[int]) -> list[list[int]]:
-    """Sylvester matrix of two polynomials given ascending, of formal
-    degrees len - 1."""
-    da, db = len(a) - 1, len(b) - 1
-    rows = []
-    for cs, shifts in ((a, db), (b, da)):
-        desc = cs[::-1]
-        for i in range(shifts):
-            rows.append([0] * i + desc + [0] * (shifts - 1 - i))
-    return rows
+from .poly import (_bareiss_det, _distinct_roots_gcd, _horner,
+                   _product_coeffs, _sylvester, roots_mod)
 
 
 def _root_counter(coeff_lists: list[list[int]]):
@@ -274,22 +176,68 @@ def _prediction(degrees: list[int], m: int, c: float) -> PredictedCount:
 
 def actual_count(fs: FunctionSystem, m: int,
                  config: WorkbenchConfig = DEFAULT_CONFIG) -> int:
-    """Exact number of 1 <= n <= m with every f_i(n) prime."""
+    """Exact number of 1 <= n <= m with every f_i(n) prime.
+
+    A system of polynomials is sieved over n: the rule is in the module
+    docstring.  A system with any other member, or whose values may
+    pass the bit budget, has every point evaluated and tested."""
     if any(f.arity != 1 for f in fs):
         raise InvalidArgument("actual_count scans univariate systems")
-    scan = _Scan(fs, iter_points(1, m), lambda v: v >= 2, config)
-    rows = [vals for _, vals in scan]
+    if m < 1:
+        return 0
+    coeff_lists = [_analysis(f).coeffs for f in fs]
+    top = None
+    if all(cs is not None for cs in coeff_lists):
+        top = max((sum(abs(c) * m**i for i, c in enumerate(cs))
+                   for cs in coeff_lists), default=0)
+    if top is None or top.bit_length() > config.bit_budget:
+        bound, table, start, above = 1, 1, m + 1, False
+    else:
+        degree = max((len(cs) for cs in coeff_lists), default=1) - 1
+        cap = m if degree <= 2 else 10 * math.isqrt(m)
+        bound = max(1, min(math.isqrt(top), cap))
+        # flags to the sieve bound, or to every value when all are small
+        table = top if top <= 10**7 else bound
+        need = m + table + 2
+        if need > config.sieve_memory_cap:
+            raise MemoryBudgetExceeded(
+                f"sieve over n <= {m} needs ~{need} bytes")
+        start, above = 1, True
+        for f in fs:
+            env = envelope_outside_bound(f, bound + 1, config)
+            if env is None:
+                start = m + 1
+            else:
+                start, above = max(start, env[0]), above and env[1]
+    flags = prime_flags(table)
+
+    def prime(v: int) -> bool:
+        return flags[v] if v < len(flags) else is_prime(v, config)
+
+    count = 0
+    scan = _Scan(fs, iter_points(1, min(start, m + 1) - 1),
+                 lambda v: v >= 2, config)
+    for _, vals in scan:
+        if all(prime(v) for v in vals):
+            count += 1
     if scan.cut is not None:
         # no Unknown outcome here: an unevaluated n is not "not prime"
         raise EvaluationBudgetExceeded(
             f"a value at n={scan.cut[0]} exceeds the bit budget")
-    top = max((v for vals in rows for v in vals), default=0)
-    if top and top <= 10**7:
-        prime = prime_flags(top).__getitem__
-    else:
-        def prime(v: int) -> bool:
-            return is_prime(v, config)
-    return sum(1 for vals in rows if all(prime(v) for v in vals))
+    if not above or start > m:
+        return count
+    alive = bytearray([1]) * (m + 1)
+    alive[:start] = bytes(start)
+    for p in itertools.compress(range(bound + 1), flags):
+        for cs in coeff_lists:
+            for r in roots_mod(cs, p):
+                first = start + (r - start) % p
+                alive[first::p] = bytes(len(range(first, m + 1, p)))
+    if (bound + 1) ** 2 > top:
+        return count + alive.count(1)
+    return count + sum(
+        1 for n in itertools.compress(range(m + 1), alive)
+        if all(is_prime(_horner(cs, n), config) for cs in coeff_lists))
 
 
 def dlvp_ratio(a: int, b: int, x: int,
@@ -301,7 +249,8 @@ def dlvp_ratio(a: int, b: int, x: int,
         raise NotCoprime(f"gcd({a}, {b}) != 1")
     if x < 2:
         raise InvalidArgument("x must be at least 2")
-    count = sum(1 for p in sieve_primes(x, config) if p % b == a % b)
+    _check_sieve_budget(x, config)
+    count = prime_flags(x)[a % b::b].count(1)
     return count * euler_phi(b, config) * math.log(x) / x
 
 
@@ -419,6 +368,8 @@ def density_estimate(fs: FunctionSystem, prime_cutoff: int, m: int,
     omega = _root_counter(coeff_lists)
     bh = _bh_constant(omega, len(fs), prime_cutoff, config)
     sample = tuple((p, omega(p)) for p in sieve_primes(100, config))
+    # counted first: its memory check ends a huge m before the sum over m
+    actual = actual_count(fs, m, config)
     if bh.obstruction is None:
         pred = _prediction(_prediction_degrees(fs, m), m, bh.value)
         predicted_sum, predicted_closed = pred.sum_form, pred.closed_form
@@ -428,4 +379,4 @@ def density_estimate(fs: FunctionSystem, prime_cutoff: int, m: int,
     return DensityEstimate(tuple(str(f) for f in fs), degrees, prime_cutoff,
                            bh.value, bh.relative_change, bh.obstruction,
                            sample, m, predicted_sum, predicted_closed,
-                           actual_count(fs, m, config))
+                           actual)

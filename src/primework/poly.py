@@ -1,0 +1,251 @@
+"""Dense integer polynomials.
+
+A polynomial is a list of integer coefficients, constant first; the
+zero polynomial is [0].  Everything here works on these lists: the
+product of several, reduction mod p, x^e mod (g, p), the gcd mod p,
+the distinct roots mod p, and the exact resultant by Bareiss
+elimination of the Sylvester matrix.
+
+Roots mod a prime p come in closed form for linear members, from
+Tonelli-Shanks on the discriminant for quadratics, and from degree 3
+by Cantor-Zassenhaus splitting of gcd(x^p - x, f), the product of the
+distinct linear factors of f mod p.  density counts roots with the gcd
+(omega(p)) and sieves with the roots themselves (actual_count).
+"""
+
+from __future__ import annotations
+
+
+def _product_coeffs(coeff_lists: list[list[int]]) -> list[int]:
+    prod = [1]
+    for cs in coeff_lists:
+        nxt = [0] * (len(prod) + len(cs) - 1)
+        for i, a in enumerate(prod):
+            for j, b in enumerate(cs):
+                nxt[i + j] += a * b
+        prod = nxt
+    return prod
+
+
+def _horner(coeffs: list[int], x: int) -> int:
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _poly_mod(coeffs: list[int], p: int) -> list[int]:
+    cs = [c % p for c in coeffs]
+    while len(cs) > 1 and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def _monic(g: list[int], p: int) -> list[int]:
+    inv = pow(g[-1], -1, p)
+    return [c * inv % p for c in g]
+
+
+def _mulmod_monic(a: list[int], b: list[int], g: list[int], p: int) -> list[int]:
+    """a * b mod (g, p) for monic g, with a and b already reduced mod g."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    d = len(g) - 1
+    for i in range(len(out) - 1, d - 1, -1):
+        c = out[i] % p
+        if c:
+            for j in range(d):
+                out[i - d + j] -= c * g[j]
+    del out[d:]
+    return [c % p for c in out]
+
+
+def _x_pow_mod(g: list[int], e: int, p: int, a: int = 0) -> list[int]:
+    """(x + a)^e mod (g, p) for monic g of degree >= 1, as a dense list
+    of length deg g: left to right over the bits of e, squaring, then
+    multiplying by x + a as a shift plus a multiple."""
+    d = len(g) - 1
+    r = [1] + [0] * (d - 1)
+    for bit in bin(e)[2:]:
+        r = _mulmod_monic(r, r, g, p)
+        if bit == "1":
+            top = r[-1]
+            shifted = [0] + r[:-1]
+            if a:
+                shifted = [s + a * c for s, c in zip(shifted, r)]
+            if top or a:
+                r = [(c - top * gc) % p for c, gc in zip(shifted, g)]
+            else:
+                r = shifted
+    return r
+
+
+def _poly_gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
+    while len(b) > 1 or b[0] != 0:
+        inv = pow(b[-1], -1, p)
+        r = a[:]
+        while len(r) >= len(b) and (len(r) > 1 or r[0] != 0):
+            f = r[-1] * inv % p
+            off = len(r) - len(b)
+            for j in range(len(b)):
+                r[off + j] = (r[off + j] - f * b[j]) % p
+            while len(r) > 1 and r[-1] == 0:
+                r.pop()
+            if len(r) < len(b):
+                break
+        a, b = b, r
+    return a
+
+
+def _poly_quo_monic(a: list[int], b: list[int], p: int) -> list[int]:
+    """a / b mod p for monic b dividing a."""
+    r = a[:]
+    db = len(b) - 1
+    q = [0] * (len(a) - db)
+    for i in range(len(q) - 1, -1, -1):
+        c = q[i] = r[i + db] % p
+        if c:
+            for j in range(db):
+                r[i + j] -= c * b[j]
+    return q
+
+
+def _root_part(g: list[int], p: int) -> list[int]:
+    """gcd(x^p - x, g) for g reduced mod p of degree >= 1: the product
+    of x - r over the distinct roots r of g, up to a unit."""
+    g = _monic(g, p)
+    h = _x_pow_mod(g, p, p) + [0]
+    h[1] = (h[1] - 1) % p
+    while len(h) > 1 and h[-1] == 0:
+        h.pop()
+    return _poly_gcd_mod(g, h, p)
+
+
+def _distinct_roots_gcd(coeffs: list[int], p: int) -> int:
+    """Distinct roots mod p as deg gcd(x^p - x, g)."""
+    g = _poly_mod(coeffs, p)
+    if g == [0]:
+        return p
+    if len(g) == 1:
+        return 0
+    return len(_root_part(g, p)) - 1
+
+
+def sqrt_mod(a: int, p: int) -> int | None:
+    """A square root of a modulo the prime p (Tonelli-Shanks), or None
+    when a is not a square mod p."""
+    a %= p
+    if a == 0 or p == 2:
+        return a
+    if pow(a, (p - 1) // 2, p) != 1:
+        return None
+    if p % 4 == 3:
+        return pow(a, (p + 1) // 4, p)
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c, r, t = pow(z, q, p), pow(a, (q + 1) // 2, p), pow(a, q, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (s - i - 1), p)
+        r, c = r * b % p, b * b % p
+        t, s = t * c % p, i
+    return r
+
+
+def _low_degree_roots(g: list[int], p: int) -> list[int]:
+    """Roots of g, reduced mod the odd prime p, of degree 1 or 2."""
+    if len(g) == 2:
+        return [-g[0] * pow(g[1], -1, p) % p]
+    c, b, a = g
+    s = sqrt_mod(b * b - 4 * a * c, p)
+    if s is None:
+        return []
+    inv = pow(2 * a, -1, p)
+    return sorted({(s - b) * inv % p, (-s - b) * inv % p})
+
+
+def _split(h: list[int], p: int, out: list[int]) -> None:
+    """Append the roots of h, monic and a product of distinct linear
+    factors mod the odd prime p, to out.  Cantor-Zassenhaus with the
+    shifts a = 0, 1, 2, ...: gcd(h, (x + a)^((p-1)/2) - 1) takes the
+    roots r with r + a a nonzero square, and for any two roots some a
+    below p separates them."""
+    if len(h) <= 3:
+        if len(h) > 1:
+            out.extend(_low_degree_roots(h, p))
+        return
+    a = 0
+    while True:
+        w = _x_pow_mod(h, (p - 1) // 2, p, a)
+        w[0] = (w[0] - 1) % p
+        while len(w) > 1 and w[-1] == 0:
+            w.pop()
+        g = _poly_gcd_mod(h, w, p)
+        if 1 < len(g) < len(h):
+            g = _monic(g, p)
+            _split(g, p, out)
+            _split(_poly_quo_monic(h, g, p), p, out)
+            return
+        a += 1
+
+
+def roots_mod(coeffs: list[int], p: int) -> list[int]:
+    """The distinct roots of the polynomial mod the prime p, ascending;
+    every residue when it vanishes identically mod p."""
+    g = _poly_mod(coeffs, p)
+    if g == [0]:
+        return list(range(p))
+    if len(g) == 1:
+        return []
+    if p == 2:
+        return [r for r, v in ((0, g[0]), (1, sum(g))) if v % 2 == 0]
+    if len(g) <= 3:
+        return _low_degree_roots(g, p)
+    out: list[int] = []
+    _split(_monic(_root_part(g, p), p), p, out)
+    return sorted(out)
+
+
+def _bareiss_det(rows: list[list[int]]) -> int:
+    """Exact determinant of an integer matrix by fraction-free
+    (Bareiss) elimination; every division is exact."""
+    m = [row[:] for row in rows]
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        pivot = m[k][k]
+        for i in range(k + 1, n):
+            lead = m[i][k]
+            m[i] = [0] * (k + 1) + [(pivot * a - lead * b) // prev for a, b
+                                    in zip(m[i][k + 1:], m[k][k + 1:])]
+        prev = pivot
+    return sign * m[-1][-1] if n else 1
+
+
+def _sylvester(a: list[int], b: list[int]) -> list[list[int]]:
+    """Sylvester matrix of two polynomials given ascending, of formal
+    degrees len - 1."""
+    da, db = len(a) - 1, len(b) - 1
+    rows = []
+    for cs, shifts in ((a, db), (b, da)):
+        desc = cs[::-1]
+        for i in range(shifts):
+            rows.append([0] * i + desc + [0] * (shifts - 1 - i))
+    return rows

@@ -397,3 +397,37 @@ def test_conditions_refuses_before_the_coprime_scan(capsys, argv, message):
     assert run(capsys, "conditions", *argv) == (
         1, "", f"error: InvalidArgument: {message}\n")
     assert time.perf_counter() - start < 2
+
+
+@pytest.mark.parametrize("argv, expected", [
+    # horizon 0 scans no point, where it used to fall back to 10^4
+    (["sfm", "-f", "x^2+1", "--modulus", "10", "--horizon", "0"],
+     (2, "unknown (horizon 0)\n", "")),
+    (["density", "-f", "x^2+1", "--limit", "100", "--horizon", "0"],
+     (0, "constant: 1.000000  (cutoff 0)\npredicted: 15.0  actual: 19\n",
+      "")),
+    (["sfm", "-f", "x^2+1", "--modulus", "10", "--horizon", "-3"],
+     (1, "", "error: InvalidArgument: --horizon must be nonnegative\n")),
+    (["density", "-f", "x^2+1", "--limit", "100", "--horizon", "-5"],
+     (1, "", "error: InvalidArgument: --horizon must be nonnegative\n")),
+    (["conditions", "-f", "x^2+1", "--modulus", "10", "--horizon", "-1"],
+     (1, "", "error: InvalidArgument: --horizon must be nonnegative\n")),
+    (["factorial", "-f", "x^2+1", "--limit", "5", "--horizon", "-1"],
+     (1, "", "error: InvalidArgument: --horizon must be nonnegative\n")),
+], ids=["sfm-zero", "density-zero", "sfm-negative", "density-negative",
+        "conditions-negative", "factorial-negative"])
+def test_horizon_zero_is_honoured_and_negative_refused(capsys, argv,
+                                                       expected):
+    assert run(capsys, *argv) == expected
+
+
+def test_density_refuses_a_sieve_past_the_memory_cap(capsys):
+    # 10^12 n would need ~2 * 10^12 bytes of sieve: refused before the
+    # prediction's sum over n or any allocation
+    start = time.perf_counter()
+    code, out, err = run(capsys, "density", "-f", "x^2+1",
+                         "--limit", "1000000000000")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: MemoryBudgetExceeded: sieve over n <= "
+                          "1000000000000 needs ~")
+    assert time.perf_counter() - start < 5

@@ -7,16 +7,17 @@ import random
 import pytest
 
 from primework.analysis import univariate_coeffs
-from primework.arith import is_prime, sieve_primes
+from primework.arith import euler_phi, is_prime, sieve_primes
 from primework.config import DEFAULT_CONFIG
-from primework.density import (_bareiss_det, _root_counter, _sylvester,
-                               actual_count,
+from primework.density import (_root_counter, actual_count,
                                ap_product_inequality, bateman_horn_constant,
                                density_estimate, dlvp_ratio, least_prime_ap,
                                omega_p, predicted_count)
 from primework.errors import (EvaluationBudgetExceeded, InvalidArgument,
-                              NotCoprime, NotUnivariatePolynomial)
+                              MemoryBudgetExceeded, NotCoprime,
+                              NotUnivariatePolynomial)
 from primework.expr import parse_function, parse_system
+from primework.poly import _bareiss_det, _sylvester
 
 
 def test_omega_twin_system():
@@ -307,3 +308,76 @@ def test_actual_count_raises_on_over_budget_values():
     tight = DEFAULT_CONFIG.with_overrides(bit_budget=16)
     with pytest.raises(EvaluationBudgetExceeded):
         actual_count(fs, 40, tight)
+
+
+# --- the root sieve of actual_count ----------------------------------------
+
+def _plain_counts(fs, limit):
+    """counts[m] = #{1 <= n <= m : every f_i(n) is prime}, one value at a
+    time."""
+    coeff_lists = [univariate_coeffs(f) for f in fs]
+    counts = [0]
+    for n in range(1, limit + 1):
+        hit = all(is_prime(sum(c * n**i for i, c in enumerate(cs)))
+                  for cs in coeff_lists)
+        counts.append(counts[-1] + hit)
+    return counts
+
+
+def _sieve_systems():
+    rng = random.Random(20261019)
+    texts = list(DENSITY_SYSTEMS) + [
+        "-x^2+60*x+7", "x; -2*x+3001",              # negative leads
+        "x; 7", "x^2+1; 2", "x; 0", "5", "-7",        # constant and zero
+        "x^2+x", "x^3-x+3", "6*x+3; x",               # fixed prime divisors
+        "x^2-3*x+5", "2*x^2-x-1",                     # no monotone envelope
+        "x; x^2+1", "x+1; x^2+x+1; x^3+2",            # mixed degrees
+        "x^2+999983", "1000000*x+1", "x^3+1000000*x+999999",
+    ]
+    systems = [parse_system(t) for t in texts]
+    for _ in range(8):
+        members = []
+        for _ in range(rng.randint(1, 2)):
+            deg = rng.randint(1, 4)
+            cs = [rng.randint(-10**6, 10**6) for _ in range(deg)]
+            cs.append(rng.choice([c for c in range(-20, 21) if c]))
+            members.append(" + ".join(f"({c})*x^{i}"
+                                      for i, c in enumerate(cs)))
+        systems.append(parse_system("; ".join(members)))
+    return systems
+
+
+def test_actual_count_matches_plain_count_to_2000():
+    rng = random.Random(5)
+    ms = list(range(0, 31)) + sorted(rng.sample(range(31, 2000), 16)) + [2000]
+    for fs in _sieve_systems():
+        counts = _plain_counts(fs, 2000)
+        for m in ms:
+            assert actual_count(fs, m) == counts[m], ([str(f) for f in fs], m)
+
+
+def test_actual_counts_at_1e5_are_pinned():
+    # the counts of the value-by-value scan this sieve replaced
+    expected = dict(zip(DENSITY_SYSTEMS, (1224, 259, 1171, 6656, 31984, 4059)))
+    for text, count in expected.items():
+        assert actual_count(parse_system(text), 10**5) == count, text
+
+
+def test_dlvp_ratio_equals_the_prime_list_formula():
+    rng = random.Random(11)
+    for _ in range(40):
+        b = rng.randint(1, 60)
+        a = rng.choice([r for r in range(-b, 3 * b + 1) if math.gcd(r, b) == 1])
+        x = rng.randint(2, 2 * 10**5)
+        count = sum(1 for p in sieve_primes(x) if p % b == a % b)
+        assert dlvp_ratio(a, b, x) == count * euler_phi(b) * math.log(x) / x
+
+
+def test_dlvp_ratio_keeps_the_sieve_memory_guard():
+    tight = DEFAULT_CONFIG.with_overrides(sieve_memory_cap=10**5)
+    with pytest.raises(MemoryBudgetExceeded):
+        dlvp_ratio(1, 4, 10**6, tight)
+    with pytest.raises(MemoryBudgetExceeded):
+        sieve_primes(10**6, tight)
+    with pytest.raises(MemoryBudgetExceeded):
+        actual_count(parse_system("x^2+1"), 10**6, tight)
