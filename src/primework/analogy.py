@@ -18,7 +18,7 @@ from enum import Enum
 from .analysis import _box, _Scan, iter_points
 from .arith import is_prime
 from .conditions import Witness
-from .config import DEFAULT_CONFIG, SCAN_HORIZON, WorkbenchConfig
+from .config import DEFAULT_CONFIG, WorkbenchConfig
 from .errors import InvalidArgument, ModuliNotCoprime
 from .expr import FunctionSystem, parse_function
 
@@ -46,14 +46,12 @@ def find_zm_witness(fs: FunctionSystem, m: int, box: int | None = None,
                     ) -> tuple[Witness | None, bool]:
     """Least point with every member value strictly between 1 and m
     and coprime to m, with the values the scan computed.  The box
-    follows analysis._box, its fallback about min(config.horizon,
-    SCAN_HORIZON) points in all.  Second element reports whether an
-    empty result is conclusive: the box covers the envelope's side and
-    no value ran over the bit budget."""
+    follows analysis._box.  Second element reports whether an empty
+    result is conclusive: the box covers the envelope's side and no
+    value ran over the bit budget."""
     if m < 2:
         raise InvalidArgument("modulus must be at least 2")
-    _, scanned, covered = _box(fs, m, box, min(config.horizon, SCAN_HORIZON),
-                               config)
+    _, scanned, covered = _box(fs, m, box, config)
     scan = _Scan(fs, iter_points(fs[0].arity, scanned),
                  lambda v: 1 < v < m and math.gcd(v, m) == 1, config)
     for point, values in scan:

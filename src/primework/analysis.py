@@ -1,15 +1,15 @@
 """Structural analysis of parsed functions.
 
-Classification into polynomial normal form, fixed divisors via finite
-grids, monotonicity traits, and the envelope bounds that let bounded
+Classification into polynomial normal form (its arithmetic is in
+poly), monotonicity traits, and the envelope bounds that let bounded
 scans close conclusively: once every later value provably falls
 outside [1, m-1], an empty scan is a proof rather than a shrug.
 
 Each function is analysed once.  The normal form, the dense
-coefficients and the classify profile (one per config) are built
-lazily and cached on the NtFunction instance itself, so a cache lives
-exactly as long as its function.  The public readers hand out fresh
-dicts and lists, never the cached objects.
+coefficients and the classify profile (one per function, whatever the
+config) are built lazily and cached on the NtFunction instance itself,
+so a cache lives exactly as long as its function.  The public readers
+hand out fresh dicts and lists, never the cached objects.
 
 The workbench scan order (iter_points) lives here too, with the one
 exact search over it (_Scan) that every least-witness, count and probe
@@ -18,40 +18,17 @@ loop runs through.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .config import DEFAULT_CONFIG, WorkbenchConfig
+from .config import DEFAULT_CONFIG, SCAN_HORIZON, WorkbenchConfig
 from .errors import (DomainError, EvaluationBudgetExceeded, EvaluationError,
                      NotPolynomial, NotUnivariatePolynomial)
 from .expr import (Add, Const, Floor, Mul, Neg, NtFunction, Node, Piecewise,
                    Pow, Sub, Var, _max_var, evaluate)
+from .poly import (_cauchy_outside, _dense, _fixed_divisor, _nf_add, _nf_mul,
+                   _nf_scale)
 
 # --- polynomial normal form ---------------------------------------------
-
-def _nf_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = out.get(k, 0) + v
-        if out[k] == 0:
-            del out[k]
-    return out
-
-
-def _nf_scale(a: dict, c: int) -> dict:
-    return {k: v * c for k, v in a.items() if v * c != 0}
-
-
-def _nf_mul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for ka, va in a.items():
-        for kb, vb in b.items():
-            k = tuple(x + y for x, y in zip(ka, kb))
-            out[k] = out.get(k, 0) + va * vb
-            if out[k] == 0:
-                del out[k]
-    return out
-
 
 def _normal_form(node: Node, arity: int) -> dict | None:
     """Monomial dict {exponent tuple: coefficient} or None if the node
@@ -93,18 +70,15 @@ def _normal_form(node: Node, arity: int) -> dict | None:
 class _Analysis:
     """What is known about one function, filled in on first use."""
 
-    __slots__ = ("nf", "coeffs", "profiles", "exceeds")
+    __slots__ = ("nf", "coeffs", "profile", "exceeds")
 
     def __init__(self, f: NtFunction):
         self.nf = _normal_form(f.body, f.arity)
         # dense coefficients (constant first); None when f is not a
         # univariate polynomial
-        self.coeffs = None
-        if self.nf is not None and f.arity == 1:
-            self.coeffs = [0] * (max((k[0] for k in self.nf), default=0) + 1)
-            for k, c in self.nf.items():
-                self.coeffs[k[0]] = c
-        self.profiles: dict[WorkbenchConfig, FunctionProfile] = {}
+        self.coeffs = (_dense(self.nf) if self.nf is not None and f.arity == 1
+                       else None)
+        self.profile: FunctionProfile | None = None
         # exceeds_one_from per config; per-m envelopes are not kept
         self.exceeds: dict[WorkbenchConfig, tuple[int, bool] | None] = {}
 
@@ -137,62 +111,31 @@ class FunctionProfile:
     monomials: tuple[tuple[tuple[int, ...], int], ...] | None = None
 
 
-def classify(f: NtFunction, config: WorkbenchConfig = DEFAULT_CONFIG) -> FunctionProfile:
+def classify(f: NtFunction) -> FunctionProfile:
     """Shape report; fixed_divisor is filled exactly when polynomial."""
     a = _analysis(f)
-    profile = a.profiles.get(config)
-    if profile is None:
-        profile = a.profiles[config] = _profile(f, a.nf, config)
-    return profile
+    if a.profile is None:
+        a.profile = _profile(f, a.nf)
+    return a.profile
 
 
-def _profile(f: NtFunction, nf: dict | None,
-             config: WorkbenchConfig) -> FunctionProfile:
+def _profile(f: NtFunction, nf: dict | None) -> FunctionProfile:
     if nf is None:
         return FunctionProfile(arity=f.arity, is_polynomial=False)
-    if not nf:
-        return FunctionProfile(arity=f.arity, is_polynomial=True, total_degree=0,
-                               var_degrees=(0,) * f.arity, leading_coefficient=None,
-                               fixed_divisor=0, monomials=())
-    total = max(sum(k) for k in nf)
-    var_deg = tuple(max(k[i] for k in nf) for i in range(f.arity))
-    leading = nf[max(nf, key=lambda k: k[0])] if f.arity == 1 else None
-    fd = _fixed_divisor_from_grid(f, var_deg, config)
+    total = max((sum(k) for k in nf), default=0)
+    var_deg = tuple(max((k[i] for k in nf), default=0) for i in range(f.arity))
+    leading = nf[max(nf)] if f.arity == 1 and nf else None
     return FunctionProfile(arity=f.arity, is_polynomial=True, total_degree=total,
                            var_degrees=var_deg, leading_coefficient=leading,
-                           fixed_divisor=fd,
+                           fixed_divisor=_fixed_divisor(nf),
                            monomials=tuple(sorted(nf.items())))
 
 
-def _fixed_divisor_from_grid(f: NtFunction, var_deg: tuple[int, ...],
-                             config: WorkbenchConfig) -> int:
-    # gcd over the grid [0,d1] x ... x [0,dk] pins down gcd over all of Z^k
-    # (finite differences with integer binomial weights)
-    g = 0
-    def rec(point: list[int], i: int):
-        nonlocal g
-        if i == len(var_deg):
-            v = evaluate(f, tuple(point), allow_zero=True, config=config)
-            g = math.gcd(g, v)
-            return
-        for t in range(var_deg[i] + 1):
-            point.append(t)
-            rec(point, i + 1)
-            point.pop()
-            if g == 1:
-                return
-    rec([], 0)
-    return g
-
-
-def fixed_divisor(f: NtFunction, profile: FunctionProfile | None = None,
-                  config: WorkbenchConfig = DEFAULT_CONFIG) -> int:
+def fixed_divisor(f: NtFunction) -> int:
     """gcd of all values of a polynomial over integer points."""
-    if profile is None:
-        profile = classify(f, config)
+    profile = classify(f)
     if not profile.is_polynomial:
         raise NotPolynomial("fixed divisor is defined for polynomials only")
-    assert profile.fixed_divisor is not None
     return profile.fixed_divisor
 
 
@@ -285,19 +228,6 @@ def traits(node: Node) -> Traits:
 
 
 # --- envelope bounds -----------------------------------------------------
-
-def _cauchy_outside(coeffs: list[int], m: int) -> int:
-    """Least X with every integer x >= X outside [1, m-1] for the given
-    univariate polynomial (nonconstant)."""
-    d = len(coeffs) - 1
-    lead = coeffs[d]
-    bound = 0.0
-    for shift in (1, m - 1):
-        shifted0 = coeffs[0] - shift
-        top = max([abs(c) for c in coeffs[1:d]] + [abs(shifted0)], default=0)
-        bound = max(bound, 1.0 + top / abs(lead))
-    return int(bound) + 1
-
 
 def _ge_probe(f: NtFunction, point: tuple[int, ...], m: int,
               config: WorkbenchConfig) -> bool | None:
@@ -397,13 +327,14 @@ def envelope_outside_bound(f: NtFunction, m: int,
     return None
 
 
-def _box(fs, bound: int, box: int | None, points: int,
+def _box(fs, bound: int, box: int | None,
          config: WorkbenchConfig) -> tuple[int, int, bool]:
     """The one box rule of the Phi, Pi and Z_bound^* scans: (side,
     scanned, covered).  Past the required side some member provably
     leaves [1, bound-1], killing every tuple.  The side is `box`, else
-    the required side, else about `points` points in all; covered says
-    it reaches the required side, and then only that is scanned."""
+    the required side, else about min(config.horizon, SCAN_HORIZON)
+    points in all; covered says it reaches the required side, and then
+    only that is scanned."""
     required = None
     for f in fs:
         env = envelope_outside_bound(f, bound, config)
@@ -414,6 +345,7 @@ def _box(fs, bound: int, box: int | None, points: int,
     elif required is not None:
         side = required
     else:
+        points = min(config.horizon, SCAN_HORIZON)
         side = max(1, int(round(points ** (1.0 / fs[0].arity))))
     covered = required is not None and side >= required
     return side, required if covered else side, covered

@@ -90,7 +90,7 @@ def _c6(config):
 
 @_check("negative_quadratic_leading_coefficient")
 def _c7(config):
-    info = classify(parse_function("-x^2+6"), config)
+    info = classify(parse_function("-x^2+6"))
     return ("degree 2, lead -1",
             f"degree {info.total_degree}, lead {info.leading_coefficient}")
 

@@ -16,12 +16,12 @@ product of the member values):
 
 Verdicts are three-valued.  B, C, D and the system form of I ask
 whether a modulus q divides every value.  For a polynomial that holds
-exactly when q divides its fixed divisor, read from the cached classify
-profile, so these verdicts are always conclusive; c*b^x + d closes on
-an empty scan of a whole residue period.  Their witnesses come from one
-residue scan (_residues), the counterpart of analysis._Scan: it skips a
-point where f has no value, and a witness carries the exact value, or
-None when that is over the bit budget.
+exactly when q divides its fixed divisor, exact arithmetic on its
+normal form, so these verdicts are always conclusive; c*b^x + d
+closes on an empty scan of a whole residue period.  Their witnesses
+come from one residue scan (_residues), the counterpart of
+analysis._Scan: it skips a point where f has no value, and a witness
+carries the exact value, or None when that is over the bit budget.
 
 E, F and G close through envelope certificates and residue periods.
 Other shapes report Unknown when the horizon runs out, and so does a
@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
 
 from .analysis import (_analysis, _Scan, classify, exceeds_one_from,
                        exp_linear_shape, iter_points)
@@ -40,7 +41,8 @@ from .arith import factorize, is_prime, multiplicative_order, sieve_primes
 from .config import DEFAULT_CONFIG, SCAN_HORIZON, WorkbenchConfig
 from .errors import (DomainError, EvaluationBudgetExceeded, EvaluationError,
                      GRequiresPrime, InvalidArgument)
-from .expr import Mul, NtFunction, evaluate, evaluate_mod
+from .expr import NtFunction, evaluate, evaluate_mod
+from .poly import _fixed_divisor, _horner, _nf_mul
 
 
 class Status(Enum):
@@ -78,12 +80,9 @@ def _residues(f: NtFunction, q: int, limit: int):
     _require_univariate(f)
     coeffs = _analysis(f).coeffs
     if coeffs is not None:
-        red = [c % q for c in reversed(coeffs)]
+        red = [c % q for c in coeffs]
         for x in range(1, limit + 1):
-            acc = 0
-            for c in red:
-                acc = (acc * x + c) % q
-            yield x, acc
+            yield x, _horner(red, x % q) % q
         return
     for x in range(1, limit + 1):
         try:
@@ -133,7 +132,7 @@ def _scan_nonzero_residue(f: NtFunction, q: int, horizon: int,
     """
     coeffs = _analysis(f).coeffs
     if coeffs is not None:
-        if classify(f, config).fixed_divisor % q == 0:
+        if classify(f).fixed_divisor % q == 0:
             return Verdict(Status.FAILS, obstruction=q)
         reach = len(coeffs)  # deg + 1 points hold a witness
     else:
@@ -181,7 +180,7 @@ def check_condition_B(f: NtFunction, m: int, horizon: int = SCAN_HORIZON,
     joint = 1  # lcm of the per-prime periods; None when one is unknown
     for p in primes:
         if poly:
-            if classify(f, config).fixed_divisor % p == 0:
+            if classify(f).fixed_divisor % p == 0:
                 return Verdict(Status.FAILS, obstruction=p)
             period = p
         else:
@@ -305,21 +304,17 @@ def check_system_conditions(fs: tuple[NtFunction, ...], m: int,
     exceeds 1 and the product of values is coprime to m.
 
     All-polynomial systems fail conclusively when some prime of m
-    divides the product at every residue combination.
+    divides the fixed divisor of the product of the members.
     """
     if m < 2:
         raise InvalidArgument("modulus must be >= 2")
-    arity = fs[0].arity
-    product_fn = fs[0]
-    for g in fs[1:]:
-        product_fn = NtFunction(arity, Mul(product_fn.body, g.body))
-    profile = classify(product_fn, config)
-    if profile.is_polynomial:
-        # p divides every product exactly when p divides its fixed divisor
+    nfs = [_analysis(g).nf for g in fs]
+    if None not in nfs:
+        fd = _fixed_divisor(reduce(_nf_mul, nfs))
         for p, _ in factorize(m, config).factors:
-            if profile.fixed_divisor % p == 0:
+            if fd % p == 0:
                 return Verdict(Status.FAILS, obstruction=p)
-    scan = _Scan(fs, iter_points(arity, horizon),
+    scan = _Scan(fs, iter_points(fs[0].arity, horizon),
                  lambda v: v > 1 and math.gcd(v % m, m) == 1, config)
     for point, values in scan:
         return Verdict(Status.HOLDS, Witness(point, values, m))

@@ -17,8 +17,8 @@ ENV_VAR = "WORKBENCH_CONFIG"
 
 # Default horizon of the point searches (witnesses, conditions, probes):
 # points per axis, overridden by an explicit horizon argument (the CLI's
-# --horizon).  config.horizon bounds the AP progressions and the
-# fallback boxes of Phi and Pi instead.
+# --horizon).  config.horizon bounds the AP progressions; the smaller of
+# the two is the size of the fallback boxes of Phi, Pi and crt-analogy.
 SCAN_HORIZON = 10**4
 
 

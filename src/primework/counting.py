@@ -47,7 +47,7 @@ def phi_general(fs: FunctionSystem, n: int, box: int | None = None,
         raise InvalidArgument("n must be at least 2")
     if not fs:
         raise InvalidArgument("empty system")
-    side, scanned, covered = _box(fs, n, box, config.horizon, config)
+    side, scanned, covered = _box(fs, n, box, config)
     if len(fs) == 1 and is_identity(fs[0]):
         gcd = math.gcd
         count = sum(1 for a in range(1, min(scanned, n - 1) + 1)
@@ -68,7 +68,7 @@ def _distinct_values(f: NtFunction, x: int,
     covers every attainable one."""
     if is_identity(f):
         return set(range(2, x + 1)), True
-    _, scanned, covered = _box((f,), x + 1, None, config.horizon, config)
+    _, scanned, covered = _box((f,), x + 1, None, config)
     scan = _Scan((f,), itertools.product(range(1, scanned + 1),
                                          repeat=f.arity),
                  lambda v: 1 < v <= x, config)

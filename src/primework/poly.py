@@ -1,10 +1,15 @@
-"""Dense integer polynomials.
+"""Integer polynomials.
 
-A polynomial is a list of integer coefficients, constant first; the
-zero polynomial is [0].  Everything here works on these lists: the
-product of several, reduction mod p, x^e mod (g, p), the gcd mod p,
-the distinct roots mod p, and the exact resultant by Bareiss
-elimination of the Sylvester matrix.
+A dense polynomial is a list of integer coefficients, constant first;
+the zero polynomial is [0].  Most of this module works on these lists:
+Horner evaluation, the product of several, reduction mod p, x^e mod
+(g, p), the gcd mod p, the distinct roots mod p, the exact resultant
+by Bareiss elimination of the Sylvester matrix, and the Cauchy bound
+past which the values leave [1, m-1].
+
+A sparse normal form is a dict {exponent tuple: coefficient} without
+zeros, in any number of variables.  It is added, multiplied, made
+dense, and read for its fixed divisor, the gcd of all its values.
 
 Roots mod a prime p come in closed form for linear members, from
 Tonelli-Shanks on the discriminant for quadratics, and from degree 3
@@ -14,6 +19,62 @@ distinct linear factors of f mod p.  density counts roots with the gcd
 """
 
 from __future__ import annotations
+
+import math
+
+# --- sparse normal forms -------------------------------------------------
+
+def _nf_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for k, v in b.items():
+        out[k] = out.get(k, 0) + v
+        if out[k] == 0:
+            del out[k]
+    return out
+
+
+def _nf_scale(a: dict, c: int) -> dict:
+    return {k: v * c for k, v in a.items() if v * c != 0}
+
+
+def _nf_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for ka, va in a.items():
+        for kb, vb in b.items():
+            k = tuple(x + y for x, y in zip(ka, kb))
+            out[k] = out.get(k, 0) + va * vb
+            if out[k] == 0:
+                del out[k]
+    return out
+
+
+def _dense(nf: dict) -> list[int]:
+    """Dense coefficients (constant first) of a univariate normal form."""
+    out = [0] * (max((k[0] for k in nf), default=0) + 1)
+    for k, c in nf.items():
+        out[k[0]] = c
+    return out
+
+
+def _fixed_divisor(nf: dict, g: int = 0) -> int:
+    """gcd of g and the values of nf at every integer point (0 for the
+    zero polynomial and g = 0).  By Polya's basis these are the values
+    on the grid [0, d_1] x ... x [0, d_k] of the degrees in each
+    variable, walked one variable at a time.  Once the gcd so far is
+    g > 0, f(t, ...) = f(t - g, ...) mod g, so each t stops below g."""
+    if not any(nf):  # no variable left: a constant, or zero
+        return math.gcd(g, nf.get((), 0))
+    for t in range(max(k[0] for k in nf) + 1):
+        if 0 < g <= t:
+            break
+        sub: dict = {}
+        for k, c in nf.items():
+            sub[k[1:]] = sub.get(k[1:], 0) + c * t**k[0]
+        g = _fixed_divisor(sub, g)
+    return g
+
+
+# --- dense polynomials ---------------------------------------------------
 
 
 def _product_coeffs(coeff_lists: list[list[int]]) -> list[int]:
@@ -215,6 +276,19 @@ def roots_mod(coeffs: list[int], p: int) -> list[int]:
     out: list[int] = []
     _split(_monic(_root_part(g, p), p), p, out)
     return sorted(out)
+
+
+def _cauchy_outside(coeffs: list[int], m: int) -> int:
+    """Least X with every integer x >= X outside [1, m-1] for the given
+    univariate polynomial (nonconstant)."""
+    d = len(coeffs) - 1
+    lead = coeffs[d]
+    bound = 0.0
+    for shift in (1, m - 1):
+        shifted0 = coeffs[0] - shift
+        top = max([abs(c) for c in coeffs[1:d]] + [abs(shifted0)], default=0)
+        bound = max(bound, 1.0 + top / abs(lead))
+    return int(bound) + 1
 
 
 def _bareiss_det(rows: list[list[int]]) -> int:

@@ -136,9 +136,8 @@ def _log2_suite(lo: int, hi: int, config: WorkbenchConfig) -> BoundReport:
 
 def _poly_suite(f: NtFunction, lo: int, hi: int,
                 config: WorkbenchConfig) -> BoundReport:
-    prof = classify(f, config)
-    if not (prof.is_polynomial and prof.arity == 1 and prof.total_degree
-            and prof.leading_coefficient and prof.leading_coefficient > 0):
+    prof = classify(f)
+    if not (prof.total_degree and (prof.leading_coefficient or 0) > 0):
         raise BoundFunctionMismatch(
             "poly bound needs a nonconstant univariate polynomial with positive lead")
     d = prof.total_degree

@@ -6,8 +6,10 @@ import pytest
 
 from primework import analysis
 from primework.analysis import classify, poly_normal_form, univariate_coeffs
+from primework.conditions import (Status, Verdict, check_condition_C,
+                                  check_system_conditions)
 from primework.config import DEFAULT_CONFIG
-from primework.errors import EvaluationBudgetExceeded, NotUnivariatePolynomial
+from primework.errors import NotUnivariatePolynomial
 from primework.expr import NtFunction, parse_function
 
 from test_acceptance import _corpus_polys
@@ -45,7 +47,7 @@ def _coeffs_or_none(f):
 def test_cached_readers_equal_fresh_computation():
     for f in _functions():
         fresh_nf = analysis._normal_form(f.body, f.arity)
-        fresh_profile = analysis._profile(f, fresh_nf, DEFAULT_CONFIG)
+        fresh_profile = analysis._profile(f, fresh_nf)
         for _ in range(2):  # the first call fills the cache, the second reads it
             assert poly_normal_form(f) == fresh_nf, str(f)
             assert _coeffs_or_none(f) == _fresh_coeffs(f), str(f)
@@ -65,18 +67,25 @@ def test_returned_objects_are_copies():
     assert classify(f).monomials == (((0,), 5), ((1,), -2), ((3,), 1))
 
 
-def test_classify_is_cached_per_config():
-    tiny = DEFAULT_CONFIG.with_overrides(bit_budget=2)
-    f = parse_function("x^3-x")
-    assert classify(f).fixed_divisor == 6
-    # the fixed-divisor grid meets f(2) = 6, three bits: the tiny budget
-    # must not be answered from the default config's entry
-    with pytest.raises(EvaluationBudgetExceeded):
-        classify(f, tiny)
-    g = parse_function("x^3-x")
-    with pytest.raises(EvaluationBudgetExceeded):
-        classify(g, tiny)
-    assert classify(g).fixed_divisor == 6
+def test_one_profile_under_every_config():
+    # the fixed divisor is exact arithmetic on the coefficients: no bit
+    # budget reaches it, so the one cached profile serves every config
+    for text, fd in [("x^3-x", 6), ("x^30+x", 2), ("2*x*y+4", 2)]:
+        f = parse_function(text)
+        profile = classify(f)
+        assert profile.fixed_divisor == fd
+        for budget in (2, 20, 2**24):
+            config = DEFAULT_CONFIG.with_overrides(bit_budget=budget)
+            g = parse_function(text)
+            if f.arity == 1:
+                # C fills g's profile under this config
+                assert check_condition_C(g, fd, config=config) == Verdict(
+                    Status.FAILS, obstruction=fd)
+            else:
+                assert check_system_conditions((g,), fd, config=config) == Verdict(
+                    Status.FAILS, obstruction=fd)
+            assert classify(g) == profile
+        assert classify(f) is profile
 
 
 def test_cache_is_not_part_of_the_function():

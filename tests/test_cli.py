@@ -288,6 +288,24 @@ def test_decreasing_exponential_has_no_witness(capsys):
     assert "coprime sequence: []" in lines
 
 
+@pytest.mark.parametrize("argv, code, expected", [
+    (["conditions", "-f", "x^30+x", "--modulus", "15"], 2,
+     "A: unknown  horizon=10000\n"
+     + "".join(f"{c}: holds  x=1 value=2\n" for c in "BCDEFG")
+     + "coprime sequence: [2]\n"),
+    # 3 divides every (x^30 + x)(x + 2)
+    (["sfm", "-s", "x^30+x; x+2", "--modulus", "15"], 0, "no witness\n"),
+], ids=["conditions", "sfm-system"])
+def test_fixed_divisor_under_a_tight_budget(capsys, tmp_path, monkeypatch,
+                                            argv, code, expected):
+    # x^30 + x runs over a 20-bit budget at x = 2; the fixed divisor
+    # comes from the coefficients and needs no budget
+    path = tmp_path / "tight.conf"
+    path.write_text("bit_budget = 20\n")
+    monkeypatch.setenv("WORKBENCH_CONFIG", str(path))
+    assert run(capsys, *argv) == (code, expected, "")
+
+
 def test_fixed_divisor_beyond_the_horizon_fails(capsys):
     code, out, _ = run(capsys, "conditions", "-f", "20011*x",
                        "--modulus", "20011")
@@ -348,17 +366,20 @@ _TOWER_TIMES_ZERO = "2^(2^x)*floor(x/25)+floor(x/20)+1"
     # f is 1 below x = 20 and 2 up to x = 24, but 2^(2^24) runs over the
     # bit budget: the envelope has no threshold and the scan is cut there
     (["phi", "-f", _TOWER_TIMES_ZERO, "--modulus", "5"], 2,
-     "count: 2  (box 1000000, lower bound)\n"),
+     "count: 2  (box 10000, lower bound)\n"),
     (["pi", "-f", _TOWER_TIMES_ZERO, "--limit", "5"], 2,
      "count: 1  (method exact, incomplete)\nsubset: [2]\n"),
     (["phi", "-f", "2^(2^x)*floor(x/25)-1", "--modulus", "5"], 2,
-     "count: 0  (box 1000000, lower bound)\n"),
+     "count: 0  (box 10000, lower bound)\n"),
     (["crt-analogy", "-f", _TOWER_TIMES_ZERO, "--a", "2", "--b", "5"], 2,
      "status: Unknown\n"
      "witness mod 2: none\n"
      "witness mod 5: x=20 value=2\n"
      "witness mod 10: none\n"),
-    # no envelope: the fallback box has about 10^4 points in all
+    # no envelope: the fallback box has about 10^4 points in all, so
+    # 2^x is evaluated exactly at no more than 10^4 points
+    (["phi", "-f", "2^x-x", "--modulus", "10"], 2,
+     "count: 1  (box 10000, lower bound)\n"),
     (["crt-analogy", "-f", "3*x*y-3*x+3", "--a", "3", "--b", "4"], 2,
      "status: Unknown\n"
      "witness mod 3: none\n"
@@ -367,7 +388,7 @@ _TOWER_TIMES_ZERO = "2^(2^x)*floor(x/25)+floor(x/20)+1"
     # 3 divides every value: the system form's fixed-divisor Fails
     (["sfm", "-f", "3*x*y+3", "--modulus", "3"], 0, "no witness\n"),
 ], ids=["phi-tower", "pi-tower", "phi-tower-negative", "crt-analogy-tower",
-        "crt-analogy-two-variables", "sfm-two-variables"])
+        "phi-no-envelope", "crt-analogy-two-variables", "sfm-two-variables"])
 def test_over_budget_probe_and_fallback_boxes(capsys, argv, code, expected):
     assert run(capsys, *argv) == (code, expected, "")
 

@@ -195,6 +195,21 @@ def test_value_witness_over_budget_is_unknown_not_fails():
     assert find_value_witness(f, 3, "F").witness.point == (3,)
 
 
+def test_fixed_divisor_ignores_the_bit_budget():
+    # x^30 + x takes a 30-bit power at x = 2; its fixed divisor is 2,
+    # from the coefficients, so B holds at x = 1 under a 20-bit budget
+    f = parse_function("x^30+x")
+    tight = DEFAULT_CONFIG.with_overrides(bit_budget=20)
+    v = check_condition_B(f, 15, config=tight)
+    assert v.status is Status.HOLDS
+    assert v.witness.point == (1,) and v.witness.values == (2,)
+    assert check_condition_B(f, 15) == v
+    # 3 divides every (x^30 + x)(x + 2)
+    fs = parse_system("x^30+x; x+2")
+    v = check_system_conditions(fs, 15, config=tight)
+    assert v.status is Status.FAILS and v.obstruction == 3
+
+
 def test_coprime_sequence_not_capped_after_budget_cut():
     f = parse_function("piecewise(x <= 1: 2, x <= 2: 2^20, x <= 3: 3, else: 0)")
     seq = generate_coprime_sequence(f, 2)
