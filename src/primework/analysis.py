@@ -18,6 +18,7 @@ loop runs through.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .config import DEFAULT_CONFIG, SCAN_HORIZON, WorkbenchConfig
@@ -67,10 +68,37 @@ def _normal_form(node: Node, arity: int) -> dict | None:
     return None  # Floor, Piecewise
 
 
+def _magnitude(node: Node) -> Node:
+    """A tree whose value at x bounds |v| for every intermediate v of
+    the exact walk at every point up to x: each constant c becomes
+    max(|c|, 1), Sub becomes Add, Neg its operand, Floor its numerator
+    and Piecewise the sum of its arms.  Every node of it is >= 1 and
+    nondecreasing, so the exact walk's budget checks, the power
+    pre-check included, never fire where this tree's walk passes."""
+    if isinstance(node, Const):
+        return Const(max(abs(node.value), 1))
+    if isinstance(node, Var):
+        return node
+    if isinstance(node, (Add, Sub)):
+        return Add(_magnitude(node.left), _magnitude(node.right))
+    if isinstance(node, Neg):
+        return _magnitude(node.operand)
+    if isinstance(node, Mul):
+        return Mul(_magnitude(node.left), _magnitude(node.right))
+    if isinstance(node, Pow):
+        return Pow(_magnitude(node.base), _magnitude(node.exponent))
+    if isinstance(node, Floor):
+        return _magnitude(node.numerator)
+    if isinstance(node, Piecewise):
+        arms = [_magnitude(body) for _, body in node.branches]
+        return functools.reduce(Add, arms, _magnitude(node.default))
+    raise TypeError(f"not a node: {node!r}")
+
+
 class _Analysis:
     """What is known about one function, filled in on first use."""
 
-    __slots__ = ("nf", "coeffs", "profile", "exceeds")
+    __slots__ = ("nf", "coeffs", "profile", "exceeds", "magnitude")
 
     def __init__(self, f: NtFunction):
         self.nf = _normal_form(f.body, f.arity)
@@ -81,6 +109,7 @@ class _Analysis:
         self.profile: FunctionProfile | None = None
         # exceeds_one_from per config; per-m envelopes are not kept
         self.exceeds: dict[WorkbenchConfig, tuple[int, bool] | None] = {}
+        self.magnitude: NtFunction | None = None  # see _within_budget
 
 
 def _analysis(f: NtFunction) -> _Analysis:
@@ -398,6 +427,30 @@ def iter_points(k: int, limit: int):
         yield from _shell(k, n)
 
 
+# the guard's own budget, so that it stays cheap beside a scan that may
+# end at its first point; a refusal only leaves the scan exact
+_GUARD_BITS = 2**18
+
+
+def _within_budget(f: NtFunction, limit: int,
+                   config: WorkbenchConfig) -> bool:
+    """True when no exact evaluation of univariate f at x = 1..limit can
+    pass config.bit_budget: the magnitude tree of f (built once, cached)
+    evaluates at (limit,) under that budget, capped at _GUARD_BITS.  One
+    evaluation, which raises for towers and tight budgets; then the
+    answer is False."""
+    a = _analysis(f)
+    if a.magnitude is None:
+        a.magnitude = NtFunction(1, _magnitude(f.body))
+    if config.bit_budget > _GUARD_BITS:
+        config = config.with_overrides(bit_budget=_GUARD_BITS)
+    try:
+        evaluate(a.magnitude, (limit,), config=config)
+    except (DomainError, EvaluationBudgetExceeded):  # limit < 1, or too big
+        return False
+    return True
+
+
 class _Scan:
     """The one exact search: walk `points`, evaluate the members of `fs`
     in order at each point, stop at the first value `accept` rejects,
@@ -408,20 +461,30 @@ class _Scan:
     intact.  The first point whose value exceeds the bit budget ends
     the scan as a horizon would; `cut` records that point, and a
     caller must then not claim to have covered the points it passed.
+
+    `pre`, when given, filters the points before any exact evaluation
+    (the residue pre-test of conditions._pretest).  It may reject only
+    points that `accept` or the domain would, and since a rejected
+    point can no longer cut the scan, a caller passes one only after
+    _within_budget holds over all of `points`.
     """
 
-    __slots__ = ("fs", "points", "accept", "config", "cut")
+    __slots__ = ("fs", "points", "accept", "config", "cut", "pre")
 
-    def __init__(self, fs, points, accept, config: WorkbenchConfig):
+    def __init__(self, fs, points, accept, config: WorkbenchConfig,
+                 pre=None):
         self.fs = fs
         self.points = points
         self.accept = accept
         self.config = config
         self.cut: tuple[int, ...] | None = None
+        self.pre = pre
 
     def __iter__(self):
         fs, accept, config = self.fs, self.accept, self.config
-        for point in self.points:
+        points = self.points if self.pre is None else filter(self.pre,
+                                                             self.points)
+        for point in points:
             values = []
             for f in fs:
                 try:

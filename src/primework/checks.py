@@ -290,10 +290,6 @@ def _c35(config):
             if w else v.status.value)
 
 
-def check_names() -> tuple[str, ...]:
-    return tuple(name for name, _ in _REGISTRY)
-
-
 def run_checks(config: WorkbenchConfig = DEFAULT_CONFIG,
                names: tuple[str, ...] | None = None) -> list[CheckResult]:
     """Run the registry (or a named subset) in registration order."""

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import enum
+import functools
 import json
 import sys
 
@@ -314,7 +315,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built on the first call of the process and
+    reused: parse_args leaves a parser unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--function", "-f", help="expression, e.g. 'x^3+1'")
     common.add_argument("--system", "-s",

@@ -26,6 +26,20 @@ carries the exact value, or None when that is over the bit budget.
 E, F and G close through envelope certificates and residue periods.
 Other shapes report Unknown when the horizon runs out, and so does a
 value scan that meets a value beyond the bit budget.
+
+E, F and G on a univariate f, and condition A's chain, scan exact
+values through analysis._Scan.  When f is not a polynomial, each point
+first gets a residue pre-test (_pretest): evaluate_mod rejects a point
+whose residue already fails (E and G: gcd(f(x) mod m, m) != 1; F:
+f(x) = 0 mod m; A: gcd(f(x) mod P, P) != 1 for P the product of the
+values kept), so only a point that passes is evaluated exactly.  Each
+test is necessary for the scan's accept, and evaluate_mod has no value
+where evaluate has none.  A rejected point is never evaluated, so it
+could not end the scan at the bit budget: the pre-test therefore runs
+only after analysis._within_budget shows that no exact value up to the
+scan's limit can pass the budget.  Towers and tight budgets fail that
+guard and keep the exact scan, so every verdict is that of the exact
+scan.  Polynomial scans stay exact.
 """
 
 from __future__ import annotations
@@ -35,8 +49,8 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
 
-from .analysis import (_analysis, _Scan, classify, exceeds_one_from,
-                       exp_linear_shape, iter_points)
+from .analysis import (_analysis, _Scan, _within_budget, classify,
+                       exceeds_one_from, exp_linear_shape, iter_points)
 from .arith import factorize, is_prime, multiplicative_order, sieve_primes
 from .config import DEFAULT_CONFIG, SCAN_HORIZON, WorkbenchConfig
 from .errors import (DomainError, EvaluationBudgetExceeded, EvaluationError,
@@ -225,17 +239,41 @@ def find_value_witness(f: NtFunction, m: int, mode: str,
         return check_system_conditions((f,), m, horizon, config)
     if mode == "F":
         accept = lambda v: v > 1 and v % m != 0
+        residue_ok = lambda x: evaluate_mod(f, x, m) != 0
     else:  # E, G: value exceeds 1 and is coprime to m
         accept = lambda v: v > 1 and math.gcd(v % m, m) == 1
+        residue_ok = lambda x: math.gcd(evaluate_mod(f, x, m), m) == 1
     limit, proof = horizon, None
     if f.arity == 1:
         limit, proof = _value_certificate(f, m, mode, horizon, config)
-    scan = _Scan((f,), iter_points(f.arity, limit), accept, config)
+    scan = _Scan((f,), iter_points(f.arity, limit), accept, config,
+                 _pretest(f, limit, config, residue_ok))
     for point, values in scan:
         return Verdict(Status.HOLDS, Witness(point, values, m))
     if proof is not None and scan.cut is None:
         return proof
     return Verdict(Status.UNKNOWN, horizon=horizon)
+
+
+def _pretest(f: NtFunction, limit: int, config: WorkbenchConfig,
+             residue_ok):
+    """The residue pre-test of a value scan of f over x = 1..limit, or
+    None.  `residue_ok(point)` reads f's residue at point and must hold
+    wherever the scan's accept does; where f has no value the point is
+    rejected.  Only a univariate f that is not a polynomial gets one
+    (polynomial scans stay exact), and only when _within_budget proves
+    that no exact value of the scan can cut it, since a rejected point
+    is never evaluated exactly."""
+    if (f.arity != 1 or _analysis(f).coeffs is not None
+            or not _within_budget(f, limit, config)):
+        return None
+
+    def pre(point):
+        try:
+            return residue_ok(point)
+        except (DomainError, EvaluationError):
+            return False  # f has no value at point: the scan skips it
+    return pre
 
 
 def _value_certificate(f: NtFunction, m: int, mode: str, horizon: int,
@@ -287,7 +325,9 @@ def generate_coprime_sequence(f: NtFunction, count: int,
         limit = min(horizon, cert[0] - 1)
         capped = cert[0] - 1 <= horizon
     scan = _Scan((f,), iter_points(f.arity, limit),
-                 lambda v: v > 1 and math.gcd(v, product) == 1, config)
+                 lambda v: v > 1 and math.gcd(v, product) == 1, config,
+                 _pretest(f, limit, config, lambda x: math.gcd(
+                     evaluate_mod(f, x, product), product) == 1))
     for point, (v,) in scan:
         entries.append((point, v))
         product *= v

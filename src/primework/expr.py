@@ -385,7 +385,8 @@ def _eval_plain(node: Node, point: tuple[int, ...], budget: int | None) -> int:
             # base^exp has at least exp*(bits(base)-1) bits
             if exp * (abs(base).bit_length() - 1) > budget:
                 raise EvaluationBudgetExceeded(
-                    f"power of ~{exp * (abs(base).bit_length() - 1)} bits exceeds budget")
+                    f"power of a {abs(base).bit_length()}-bit base to a "
+                    f"{exp.bit_length()}-bit exponent exceeds budget {budget}")
         v = base**exp
     elif isinstance(node, Floor):
         v = _eval_plain(node.numerator, point, budget) // node.divisor
@@ -401,20 +402,19 @@ def _eval_plain(node: Node, point: tuple[int, ...], budget: int | None) -> int:
     return v
 
 
-def _check_point(f: NtFunction, point: tuple[int, ...], allow_zero: bool):
+def _check_point(f: NtFunction, point: tuple[int, ...]):
     if len(point) != f.arity:
         raise DomainError(f"point has {len(point)} components, arity is {f.arity}")
-    floor_ = 0 if allow_zero else 1
     for c in point:
-        if c < floor_:
-            raise DomainError(f"component {c} below domain minimum {floor_}")
+        if c < 1:
+            raise DomainError(f"component {c} below domain minimum 1")
 
 
-def evaluate(f: NtFunction, point: tuple[int, ...], *, allow_zero: bool = False,
+def evaluate(f: NtFunction, point: tuple[int, ...], *,
              config: WorkbenchConfig = DEFAULT_CONFIG) -> int:
-    """Exact value of f at point.  Components must be >= 1 unless
-    allow_zero; intermediate results respect config.bit_budget."""
-    _check_point(f, point, allow_zero)
+    """Exact value of f at point.  Components must be >= 1;
+    intermediate results respect config.bit_budget."""
+    _check_point(f, point)
     return _eval_plain(f.body, point, config.bit_budget)
 
 
@@ -456,11 +456,11 @@ def _eval_mod(node: Node, point: tuple[int, ...], m: int) -> int:
     raise TypeError(f"not a node: {node!r}")
 
 
-def evaluate_mod(f: NtFunction, point: tuple[int, ...], m: int, *,
-                 allow_zero: bool = False) -> int:
-    """f(point) mod m in [0, m).  Exponential towers are reduced by
-    modular exponentiation over the exact exponent."""
+def evaluate_mod(f: NtFunction, point: tuple[int, ...], m: int) -> int:
+    """f(point) mod m in [0, m).  Components must be >= 1.  Exponential
+    towers are reduced by modular exponentiation over the exact
+    exponent."""
     if m < 1:
         raise InvalidArgument("modulus must be positive")
-    _check_point(f, point, allow_zero)
+    _check_point(f, point)
     return _eval_mod(f.body, point, m)

@@ -1,12 +1,16 @@
 """CLI surface: exit codes, text output, JSON determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
-from primework.cli import main
+import primework
+from primework.cli import _build_parser, main
 
 
 def run(capsys, *argv):
@@ -452,3 +456,33 @@ def test_density_refuses_a_sieve_past_the_memory_cap(capsys):
     assert err.startswith("error: MemoryBudgetExceeded: sieve over n <= "
                           "1000000000000 needs ~")
     assert time.perf_counter() - start < 5
+
+
+
+def test_one_parser_per_process_matches_fresh_calls(capsys, monkeypatch):
+    # a usage error, a --json call, a text call and --help, run in one
+    # process on one parser, each against the same call in a fresh
+    # interpreter
+    monkeypatch.delenv("WORKBENCH_CONFIG", raising=False)
+    monkeypatch.setenv("COLUMNS", "80")  # help wraps at the same width
+    src = str(Path(primework.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    calls = [["sfm", "-f", "x", "--modulus", "ten"],
+             ["sfm", "-f", "2^x-1", "--modulus", "82677", "--json"],
+             ["conditions", "-f", "x^3+1", "--modulus", "90"],
+             ["--help"]]
+    _build_parser.cache_clear()
+    results = []
+    for argv in calls:
+        results.append(run(capsys, *argv))
+        fresh = subprocess.run([sys.executable, "-m", "primework.cli", *argv],
+                               capture_output=True, text=True, env=env)
+        assert results[-1] == (fresh.returncode, fresh.stdout,
+                               fresh.stderr), argv
+    assert _build_parser.cache_info().misses == 1
+    code, out, err = results[0]
+    assert (code, out) == (1, "")
+    assert err.splitlines()[-1] == ("error: argument --modulus: "
+                                    "invalid int value: 'ten'")
+    assert [r[0] for r in results[1:]] == [0, 0, 0]

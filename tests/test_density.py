@@ -42,12 +42,12 @@ def test_omega_matches_literal_count():
     fs = parse_system("x; x+2")
     g = parse_function("x^2+1")
     for p in sieve_primes(50):
-        lit = sum(1 for x in range(p)
-                  if any(evaluate_mod(f, (x,), p, allow_zero=True) == 0
-                         for f in fs))
+        # x = 1..p runs over every residue class mod p
+        lit = sum(1 for x in range(1, p + 1)
+                  if any(evaluate_mod(f, (x,), p) == 0 for f in fs))
         assert omega_p(fs, p) == lit
-        lit_g = sum(1 for x in range(p)
-                    if evaluate_mod(g, (x,), p, allow_zero=True) == 0)
+        lit_g = sum(1 for x in range(1, p + 1)
+                    if evaluate_mod(g, (x,), p) == 0)
         assert omega_p((g,), p) == lit_g
 
 

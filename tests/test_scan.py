@@ -4,20 +4,32 @@ over the same points.
 Seeded random shapes (univariate polynomials, c*b^x+d, c*b^(x-k)+d with
 no value below x = k, piecewise, two-variable polynomials) and moduli
 up to 300.  Each shape carries its own Python evaluator, so the brute
-force shares nothing with the library but the parser.
+force shares nothing with the library but the parser.  The residue
+pre-test is checked against the exact path itself: a brute-force loop
+over evaluate, whose values are checked against the shape's own, and
+which cuts where evaluate runs over the bit budget.
 """
 
+import contextlib
+import io
 import itertools
 import math
 import random
+import sys
 
+from primework import conditions
+from primework.cli import main
 from primework.conditions import (Status, check_condition_B,
                                   check_condition_C, check_condition_D,
-                                  check_system_conditions, find_value_witness)
+                                  check_system_conditions, find_value_witness,
+                                  generate_coprime_sequence)
 from primework.analogy import find_zm_witness
-from primework.analysis import classify, envelope_outside_bound, exceeds_one_from
+from primework.analysis import (_magnitude, _within_budget, classify,
+                                envelope_outside_bound, exceeds_one_from)
 from primework.config import DEFAULT_CONFIG
-from primework.expr import evaluate, parse_function
+from primework.errors import (DomainError, EvaluationBudgetExceeded,
+                              EvaluationError)
+from primework.expr import NtFunction, evaluate, parse_function
 from primework.factorial import least_factorial_witness
 
 HORIZON = {1: 300, 2: 20}  # points per axis
@@ -328,3 +340,229 @@ def test_fixed_divisor_past_the_horizon():
               check_condition_B(f, 20011)):
         assert (v.status, v.obstruction) == (Status.FAILS, 20011)
     assert check_condition_C(f, 20011 * 3).witness.point == (1,)
+
+
+# --- the residue pre-test of non-polynomial value scans -----------------
+# E, F, G and condition A on a univariate f with no polynomial
+# coefficients reject a point on its residue before evaluating it
+# exactly, once the magnitude guard has shown that no exact value of
+# the scan can pass the bit budget.  The verdicts must be those of the
+# exact path: a plain loop over evaluate, which cuts at the first value
+# past the budget.
+
+def _b_pow_c(rng):
+    b, c = rng.randint(2, 9), rng.randint(1, 40)
+    sign = rng.choice((1, -1))
+    return f"{b}^x{'+' if sign > 0 else '-'}{c}", lambda x: b**x + sign * c
+
+
+def _negative_spelling(rng):
+    c, b, d = rng.randint(1, 3), rng.randint(2, 6), rng.randint(1, 40)
+    if rng.random() < 0.5:
+        return f"(-{c})*{b}^x+{d}", lambda x: -c * b**x + d
+    return f"{b}^x+(-{d})", lambda x: b**x - d
+
+
+def _floor(rng):
+    c, b, d = rng.randint(1, 3), rng.randint(2, 5), rng.randint(-8, 8)
+    q = rng.randint(2, 7)
+    return f"floor(({c}*{b}^x+({d})) / {q})", lambda x: (c * b**x + d) // q
+
+
+def _exp_piecewise(rng):
+    a, c1 = rng.randint(1, 8), rng.randint(-3, 12)
+    b, d = rng.randint(2, 5), rng.randint(-8, 8)
+    return (f"piecewise(x <= {a}: {c1}, else: {b}^x+({d}))",
+            lambda x: c1 if x <= a else b**x + d)
+
+
+def _tower(rng):
+    d = rng.randint(-6, 6)
+    text, fn = rng.choice((("2^(2^x)", lambda x: 2**2**x),
+                           ("2^(2^(2^x))", lambda x: 2**2**2**x),
+                           ("x^x", lambda x: x**x)))
+    return f"{text}+({d})", lambda x: fn(x) + d
+
+
+PRETEST_SHAPES = (_b_pow_c, _exp, _negative_spelling, _shifted_exp, _floor,
+                  _piecewise, _exp_piecewise, _tower)
+TIGHT = DEFAULT_CONFIG.with_overrides(bit_budget=40)
+
+
+def _exact_values(f, fn, horizon, config):
+    """(x, value) for x = 1..horizon where f has a value, by a plain loop
+    over evaluate, each value checked against the shape's own; ends with
+    (x, None) at the first value past the bit budget."""
+    for x in range(1, horizon + 1):
+        try:
+            v = evaluate(f, (x,), config=config)
+        except EvaluationBudgetExceeded:
+            yield x, None
+            return
+        except (DomainError, EvaluationError):
+            assert fn(x) is None, (str(f), x)
+            continue
+        assert v == fn(x), (str(f), x)
+        yield x, v
+
+
+def _brute_witness(f, fn, horizon, config, ok):
+    for x, v in _exact_values(f, fn, horizon, config):
+        if v is None:
+            return "cut"
+        if ok(v):
+            return (x,), (v,)
+    return None
+
+
+def _brute_chain(f, fn, count, horizon, config):
+    kept, product = [], 1
+    for x, v in _exact_values(f, fn, horizon, config):
+        if v is None:
+            break
+        if v > 1 and math.gcd(v, product) == 1:
+            kept.append(((x,), v))
+            product *= v
+            if len(kept) == count:
+                break
+    return tuple(kept)
+
+
+def _primes_below(n):
+    return [p for p in range(2, n) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+
+
+def test_residue_pretest_matches_the_exact_scan(monkeypatch):
+    rng = random.Random(20261101)
+    primes = _primes_below(10**4)
+    horizon = HORIZON[1]
+    seen = set()
+    guard = conditions._within_budget
+
+    def spy(f, limit, config):
+        passed = guard(f, limit, config)
+        seen.add(("guard", config.bit_budget, passed))
+        return passed
+    monkeypatch.setattr(conditions, "_within_budget", spy)
+
+    def exact(call):
+        with monkeypatch.context() as mp:
+            mp.setattr(conditions, "_within_budget", lambda *a: False)
+            return call()
+
+    # 78557 is a Sierpinski number: every value of 78557*2^x + 1 has a
+    # prime of m, and 2 has order 36 mod m.  Under 40 bits the exact
+    # scan cuts at x = 23, before that period ends, so the Fails stands
+    # only at the default budget
+    f = parse_function("78557*2^x+1")
+    m = 3 * 5 * 7 * 13 * 19 * 37 * 73
+    for config, status in ((DEFAULT_CONFIG, Status.FAILS),
+                           (TIGHT, Status.UNKNOWN)):
+        call = lambda: find_value_witness(f, m, "E", horizon, config)
+        assert call() == exact(call)
+        assert call().status is status
+
+    for _ in range(90):
+        f, fn = _shape(rng, rng.choice(PRETEST_SHAPES))
+        # small moduli too, so that most residues fail the test
+        m = rng.randint(2, rng.choice((12, 10**4)))
+        for config in (DEFAULT_CONFIG, TIGHT):
+            for mode, q in (("E", m), ("F", m), ("G", rng.choice(primes))):
+                ok = _value_tests(q)["F" if mode == "F" else "E"]
+                call = lambda: find_value_witness(f, q, mode, horizon, config)
+                v = call()
+                assert v == exact(call), (str(f), q, mode, config.bit_budget)
+                brute = _brute_witness(f, fn, horizon, config, ok)
+                seen.add(("cut", brute == "cut"))
+                seen.add((mode, v.status))
+                if v.status is Status.HOLDS:
+                    assert (v.witness.point, v.witness.values) == brute
+                else:
+                    assert brute in (None, "cut"), (str(f), q, mode)
+            count = rng.randint(2, 5)
+            call = lambda: generate_coprime_sequence(f, count, horizon, config)
+            seq = call()
+            assert seq == exact(call), (str(f), count, config.bit_budget)
+            assert seq.entries == _brute_chain(f, fn, count, horizon, config)
+            seen.add(("A", seq.achieved == count))
+    # the guard passes and refuses at both budgets, scans are cut, and
+    # every outcome of every mode is reached
+    assert {("guard", b, p) for b in (DEFAULT_CONFIG.bit_budget, 40)
+            for p in (True, False)} <= seen
+    assert {("cut", True), ("A", True), ("A", False)} <= seen
+    assert {(mode, s) for mode in "EFG" for s in Status} <= seen
+
+
+def test_magnitude_bounds_every_value():
+    # |f(x)| <= magnitude(X) for every x <= X where f has a value, and
+    # the magnitude raises under a budget whenever some f(x) does
+    rng = random.Random(20261102)
+    seen = set()
+    for _ in range(150):
+        f, fn = _shape(rng, rng.choice(PRETEST_SHAPES + (_poly1,)))
+        mag = NtFunction(1, _magnitude(f.body))
+        X = rng.randint(1, 30)
+        for config in (DEFAULT_CONFIG, TIGHT):
+            values, raised = [], False
+            for x in range(1, X + 1):
+                try:
+                    values.append(evaluate(f, (x,), config=config))
+                except EvaluationBudgetExceeded:
+                    raised = True
+                except (DomainError, EvaluationError):
+                    pass
+            try:
+                bound = evaluate(mag, (X,), config=config)
+            except EvaluationBudgetExceeded:
+                bound = None
+            seen.add((raised, bound is None))
+            # the guard answers from the same evaluation, at most 2^18 bits
+            guard = _within_budget(f, X, config)
+            assert not guard or bound is not None
+            assert config is DEFAULT_CONFIG or guard == (bound is not None)
+            if raised:
+                assert bound is None, (str(f), X, config.bit_budget)
+            else:
+                assert bound is None or all(abs(v) <= bound for v in values)
+    assert {(False, False), (True, True), (False, True)} <= seen
+
+
+def _count_exact_evaluations(monkeypatch, argv):
+    """Exit code, stdout and the number of exact evaluate calls of one
+    CLI call, counted in every module that holds the name."""
+    calls = [0]
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return evaluate(*args, **kwargs)
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("primework")
+                and getattr(module, "evaluate", None) is evaluate):
+            monkeypatch.setattr(module, "evaluate", counting)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue(), calls[0]
+
+
+def test_residue_pretest_skips_exact_values(monkeypatch):
+    # every value of 9^x - 37 is even: the E scan mod 6 and condition
+    # A's chain past 44 run to the horizon, evaluating about 10^4 values
+    # of up to 31,700 bits on the exact path
+    monkeypatch.delenv("WORKBENCH_CONFIG", raising=False)
+    code, out, calls = _count_exact_evaluations(
+        monkeypatch, ["sfm", "-f", "9^x-37", "--modulus", "6"])
+    assert (code, out) == (2, "unknown (horizon 10000)\n")
+    assert calls <= 50
+    code, out, calls = _count_exact_evaluations(
+        monkeypatch, ["conditions", "-f", "9^x-37", "--modulus", "35"])
+    assert (code, out.splitlines()) == (2, [
+        "A: unknown  horizon=10000",
+        "B: holds  x=2 value=44",
+        "C: holds  x=1 value=-28",
+        "D: holds  x=1 value=-28",
+        "E: holds  x=2 value=44",
+        "F: holds  x=2 value=44",
+        "G: holds  x=2 value=44",
+        "coprime sequence: [44]"])
+    assert calls <= 50
