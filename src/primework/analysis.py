@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .config import DEFAULT_CONFIG, SCAN_HORIZON, WorkbenchConfig
 from .errors import (DomainError, EvaluationBudgetExceeded, EvaluationError,
-                     NotPolynomial, NotUnivariatePolynomial)
+                     InvalidArgument, NotPolynomial, NotUnivariatePolynomial)
 from .expr import (Add, Const, Floor, Mul, Neg, NtFunction, Node, Piecewise,
                    Pow, Sub, Var, _max_var, evaluate)
 from .poly import (_cauchy_outside, _dense, _fixed_divisor, _nf_add, _nf_mul,
@@ -363,7 +363,9 @@ def _box(fs, bound: int, box: int | None,
     leaves [1, bound-1], killing every tuple.  The side is `box`, else
     the required side, else about min(config.horizon, SCAN_HORIZON)
     points in all; covered says it reaches the required side, and then
-    only that is scanned."""
+    only that is scanned.  A negative box is refused."""
+    if box is not None and box < 0:
+        raise InvalidArgument("box must be nonnegative")
     required = None
     for f in fs:
         env = envelope_outside_bound(f, bound, config)

@@ -124,15 +124,6 @@ class Factorization:
     cofactor: int = 1
     complete: bool = True
 
-    def reconstruct(self) -> int:
-        out = self.cofactor
-        for p, e in self.factors:
-            out *= p**e
-        return out
-
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.factors)
-
 
 def _rho_brent(n: int, budget: int, seed: int) -> tuple[int, int]:
     """Brent-cycle Pollard rho.  Returns (factor, iterations_used);

@@ -376,9 +376,9 @@ def condition_report(f: NtFunction, m: int, horizon: int = SCAN_HORIZON,
     conjoined (Fails wins, then Unknown).  The A entry records whether
     a pairwise-coprime sequence of length omega(m) + 1 was reached.
     """
-    primes = [p for p, _ in factorize(m, config).factors]
     if m < 2:  # refused before A's scan, with B's message
         raise InvalidArgument("condition B needs a modulus >= 2")
+    primes = [p for p, _ in factorize(m, config).factors]
     _require_univariate(f)
     verdicts = {}
     seq = generate_coprime_sequence(f, len(primes) + 1, horizon, config)

@@ -271,9 +271,6 @@ class ApLeastPrimeTable:
     p_k: int | None
     empirical_exponent: float | None
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.entries)
-
 
 def least_prime_ap(k: int,
                    config: WorkbenchConfig = DEFAULT_CONFIG) -> ApLeastPrimeTable:

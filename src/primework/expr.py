@@ -6,10 +6,11 @@ division by a positive constant, and ordered piecewise definitions.
 Variables map to argument slots: x, y, z, w name slots 1..4 and xN
 names slot N.
 
-Two evaluators are provided.  evaluate() computes exact integer values
-under a bit budget.  evaluate_mod() reduces modulo m as it goes, so
-exponential towers stay cheap; exponents are always computed exactly
-and fed to modular exponentiation, never reduced by order assumptions.
+One recursive walk evaluates in two domains.  evaluate() computes the
+exact integer value under a bit budget.  evaluate_mod() reduces modulo
+m as it goes, so exponential towers stay cheap; exponents are always
+computed exactly and fed to modular exponentiation, never reduced by
+order assumptions.
 """
 
 from __future__ import annotations
@@ -100,7 +101,6 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
-        self.max_var = 0
 
     def error(self, msg):
         raise ExpressionSyntaxError(msg, self.pos)
@@ -155,7 +155,6 @@ class _Parser:
         else:
             self.pos = save
             return None
-        self.max_var = max(self.max_var, idx)
         return Var(idx)
 
     def expr(self) -> Node:
@@ -353,34 +352,45 @@ def to_text(f: NtFunction) -> str:
     return _fmt(f.body)
 
 
-# --- exact evaluation ----------------------------------------------------
+# --- evaluation ----------------------------------------------------------
 
-def _check_budget(value: int, budget: int | None):
-    if budget is not None and value.bit_length() > budget:
-        raise EvaluationBudgetExceeded(
-            f"intermediate value of {value.bit_length()} bits exceeds budget {budget}")
-
-
-def _eval_plain(node: Node, point: tuple[int, ...], budget: int | None) -> int:
+def _eval(node: Node, point: tuple[int, ...], m: int | None,
+          budget: int | None) -> int:
+    """The one walk: the exact value when m is None, with every
+    intermediate value checked against budget; else the residue mod m
+    (budget None).  What does not commute with reduction stays exact
+    and unbudgeted in the residue domain: exponents, floor numerators
+    and the base of a variable exponent."""
     if isinstance(node, Const):
-        return node.value
+        return node.value if m is None else node.value % m
     if isinstance(node, Var):
-        return point[node.index - 1]
+        v = point[node.index - 1]
+        return v if m is None else v % m
     if isinstance(node, Add):
-        v = _eval_plain(node.left, point, budget) + _eval_plain(node.right, point, budget)
+        v = _eval(node.left, point, m, budget) + _eval(node.right, point, m, budget)
     elif isinstance(node, Sub):
-        v = _eval_plain(node.left, point, budget) - _eval_plain(node.right, point, budget)
+        v = _eval(node.left, point, m, budget) - _eval(node.right, point, m, budget)
     elif isinstance(node, Neg):
-        v = -_eval_plain(node.operand, point, budget)
+        v = -_eval(node.operand, point, m, budget)
     elif isinstance(node, Mul):
-        v = _eval_plain(node.left, point, budget) * _eval_plain(node.right, point, budget)
+        v = _eval(node.left, point, m, budget) * _eval(node.right, point, m, budget)
     elif isinstance(node, Pow):
-        base = _eval_plain(node.base, point, budget)
-        exp = _eval_plain(node.exponent, point, budget)
+        # exact: base first, so an over-budget base is a cut before the
+        # exponent is read; residue: exponent first, so a negative one
+        # is refused before the base of a tower is built
+        if m is None:
+            base = _eval(node.base, point, None, budget)
+        exp = _eval(node.exponent, point, None, budget)
         if exp < 0:
             raise EvaluationError("negative exponent")
+        if m is not None:
+            if not _max_var(node.exponent):
+                return pow(_eval(node.base, point, m, None), exp, m)
+            base = _eval(node.base, point, None, None)
         if base < 1 and _max_var(node.exponent):  # cheap test first
             raise EvaluationError("variable exponent needs base >= 1")
+        if m is not None:
+            return pow(base, exp, m)
         if budget is not None and abs(base) >= 2:
             # base^exp has at least exp*(bits(base)-1) bits
             if exp * (abs(base).bit_length() - 1) > budget:
@@ -389,16 +399,20 @@ def _eval_plain(node: Node, point: tuple[int, ...], budget: int | None) -> int:
                     f"{exp.bit_length()}-bit exponent exceeds budget {budget}")
         v = base**exp
     elif isinstance(node, Floor):
-        v = _eval_plain(node.numerator, point, budget) // node.divisor
+        v = _eval(node.numerator, point, None, budget) // node.divisor
     elif isinstance(node, Piecewise):
         guard = point[node.var - 1]
         for bound, body in node.branches:
             if guard <= bound:
-                return _eval_plain(body, point, budget)
-        return _eval_plain(node.default, point, budget)
+                return _eval(body, point, m, budget)
+        return _eval(node.default, point, m, budget)
     else:
         raise TypeError(f"not a node: {node!r}")
-    _check_budget(v, budget)
+    if m is not None:
+        return v % m
+    if budget is not None and v.bit_length() > budget:
+        raise EvaluationBudgetExceeded(
+            f"intermediate value of {v.bit_length()} bits exceeds budget {budget}")
     return v
 
 
@@ -415,45 +429,7 @@ def evaluate(f: NtFunction, point: tuple[int, ...], *,
     """Exact value of f at point.  Components must be >= 1;
     intermediate results respect config.bit_budget."""
     _check_point(f, point)
-    return _eval_plain(f.body, point, config.bit_budget)
-
-
-# --- modular evaluation --------------------------------------------------
-
-def _eval_mod(node: Node, point: tuple[int, ...], m: int) -> int:
-    if isinstance(node, Const):
-        return node.value % m
-    if isinstance(node, Var):
-        return point[node.index - 1] % m
-    if isinstance(node, Add):
-        return (_eval_mod(node.left, point, m) + _eval_mod(node.right, point, m)) % m
-    if isinstance(node, Sub):
-        return (_eval_mod(node.left, point, m) - _eval_mod(node.right, point, m)) % m
-    if isinstance(node, Neg):
-        return -_eval_mod(node.operand, point, m) % m
-    if isinstance(node, Mul):
-        return (_eval_mod(node.left, point, m) * _eval_mod(node.right, point, m)) % m
-    if isinstance(node, Pow):
-        # the exponent is computed exactly, whatever its height
-        exp = _eval_plain(node.exponent, point, None)
-        if exp < 0:
-            raise EvaluationError("negative exponent")
-        if _max_var(node.exponent):
-            base_exact = _eval_plain(node.base, point, None)
-            if base_exact < 1:
-                raise EvaluationError("variable exponent needs base >= 1")
-            return pow(base_exact, exp, m)
-        return pow(_eval_mod(node.base, point, m), exp, m)
-    if isinstance(node, Floor):
-        # floor does not commute with reduction: take the numerator exactly
-        return _eval_plain(node.numerator, point, None) // node.divisor % m
-    if isinstance(node, Piecewise):
-        guard = point[node.var - 1]
-        for bound, body in node.branches:
-            if guard <= bound:
-                return _eval_mod(body, point, m)
-        return _eval_mod(node.default, point, m)
-    raise TypeError(f"not a node: {node!r}")
+    return _eval(f.body, point, None, config.bit_budget)
 
 
 def evaluate_mod(f: NtFunction, point: tuple[int, ...], m: int) -> int:
@@ -463,4 +439,4 @@ def evaluate_mod(f: NtFunction, point: tuple[int, ...], m: int) -> int:
     if m < 1:
         raise InvalidArgument("modulus must be positive")
     _check_point(f, point)
-    return _eval_mod(f.body, point, m)
+    return _eval(f.body, point, m, None)

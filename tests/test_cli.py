@@ -11,6 +11,7 @@ import pytest
 
 import primework
 from primework.cli import _build_parser, main
+from primework.errors import InvalidArgument
 
 
 def run(capsys, *argv):
@@ -414,7 +415,11 @@ def test_a_negated_constant_keeps_the_envelope(capsys, spelling):
      "conditions B, C and D take a univariate function"),
     (["-f", "2*x*y", "--modulus", "1"], "condition B needs a modulus >= 2"),
     (["-f", "x^2+1", "--modulus", "1"], "condition B needs a modulus >= 2"),
-], ids=["two-variables", "two-variables-modulus-1", "modulus-1"])
+    # refused before m is factorized, not with factorize's message
+    (["-f", "x", "--modulus", "0"], "condition B needs a modulus >= 2"),
+    (["-f", "x", "--modulus", "-7"], "condition B needs a modulus >= 2"),
+], ids=["two-variables", "two-variables-modulus-1", "modulus-1", "modulus-0",
+        "modulus-negative"])
 def test_conditions_refuses_before_the_coprime_scan(capsys, argv, message):
     # every value of 2*x*y is even: A's scan would run through 10^4
     # points per axis before B refused the function
@@ -439,11 +444,27 @@ def test_conditions_refuses_before_the_coprime_scan(capsys, argv, message):
      (1, "", "error: InvalidArgument: --horizon must be nonnegative\n")),
     (["factorial", "-f", "x^2+1", "--limit", "5", "--horizon", "-1"],
      (1, "", "error: InvalidArgument: --horizon must be nonnegative\n")),
+    # --box follows the same rule
+    (["phi", "-f", "x", "--modulus", "10", "--box", "0"],
+     (2, "count: 0  (box 0, lower bound)\n", "")),
+    (["phi", "-f", "x", "--modulus", "10", "--box", "-3"],
+     (1, "", "error: InvalidArgument: box must be nonnegative\n")),
+    (["crt-analogy", "-f", "x^3+1", "--a", "9", "--b", "10", "--box", "-1"],
+     (1, "", "error: InvalidArgument: box must be nonnegative\n")),
 ], ids=["sfm-zero", "density-zero", "sfm-negative", "density-negative",
-        "conditions-negative", "factorial-negative"])
+        "conditions-negative", "factorial-negative", "phi-box-zero",
+        "phi-box-negative", "crt-analogy-box-negative"])
 def test_horizon_zero_is_honoured_and_negative_refused(capsys, argv,
                                                        expected):
     assert run(capsys, *argv) == expected
+
+
+def test_library_refuses_a_negative_box_like_the_cli():
+    f = primework.parse_function("x^3+1")
+    with pytest.raises(InvalidArgument, match="box must be nonnegative"):
+        primework.phi_general((f,), 10, box=-3)
+    with pytest.raises(InvalidArgument, match="box must be nonnegative"):
+        primework.find_zm_witness((f,), 9, box=-1)
 
 
 def test_density_refuses_a_sieve_past_the_memory_cap(capsys):

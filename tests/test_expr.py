@@ -1,12 +1,14 @@
 """Expression parsing, exact and modular evaluation."""
 
 import random
+import re
+import time
 
 import pytest
 
 from primework.config import DEFAULT_CONFIG
 from primework.errors import (DomainError,
-                              EvaluationBudgetExceeded,
+                              EvaluationBudgetExceeded, EvaluationError,
                               ExpressionSyntaxError)
 from primework.expr import (evaluate, evaluate_mod, parse_function,
                             parse_system)
@@ -82,14 +84,45 @@ def test_bit_budget_guard():
 
 
 def test_evaluate_mod_matches_plain():
+    # every place where the residue domain departs from the exact one:
+    # negative floor numerators, piecewise arms, towers, undefined
+    # points (both domains raise the same error) and m = 1
     rng = random.Random(5)
-    fns = [parse_function(s) for s in
-           ("x^3+1", "x^2+x", "-x^2+6", "2^x-1", "x*y+7", "x^4 - 3*x + 5")]
-    for f in fns:
-        for _ in range(150):
-            point = tuple(rng.randrange(1, 40) for _ in range(f.arity))
-            m = rng.randrange(2, 1000)
-            assert evaluate_mod(f, point, m) == evaluate(f, point) % m
+    cases = [("x^3+1", 40), ("x^2+x", 40), ("-x^2+6", 40), ("2^x-1", 40),
+             ("x*y+7", 40), ("x^4 - 3*x + 5", 40), ("floor((x^2-50)/7)", 40),
+             ("piecewise(x <= 3: x^2-20, x <= 10: 2^x+1, else: floor(x/3)-7)",
+              40),
+             ("2^(2^x)+1", 5), ("3*2^(x-2)+1", 40), ("(0-2)^x", 40),
+             ("x^y+y^x", 40)]
+    for text, top in cases:
+        f = parse_function(text)
+        points = [(1,) * f.arity] + [
+            tuple(rng.randrange(1, top) for _ in range(f.arity))
+            for _ in range(150)]
+        for point in points:
+            for m in (1, rng.randrange(2, 1000)):
+                try:
+                    want = evaluate(f, point) % m
+                except EvaluationError as exc:
+                    with pytest.raises(type(exc), match=re.escape(str(exc))):
+                        evaluate_mod(f, point, m)
+                else:
+                    assert evaluate_mod(f, point, m) == want, (text, point, m)
+
+
+def test_pow_evaluation_order():
+    # residue domain: the exponent first, so the negative exponent is
+    # refused before 7^(2^24) is built
+    f = parse_function("(7^(2^(4*x)))^(x-9)")
+    start = time.perf_counter()
+    with pytest.raises(EvaluationError, match="negative exponent"):
+        evaluate_mod(f, (6,), 10)
+    assert time.perf_counter() - start < 1
+    # exact domain: the base first, so its 2^25 bits end the walk as a
+    # cut (over budget), not as an undefined point (2^(-5))
+    g = parse_function("(2^(2^x))^(2^(x-30))")
+    with pytest.raises(EvaluationBudgetExceeded):
+        evaluate(g, (25,))
 
 
 def test_evaluate_mod_big_exponent():
