@@ -207,6 +207,8 @@ def _cmd_fermat(args, config):
                  f"{value if value is not None else 'none'}"]
         return ({"modulus": args.modulus, "least_member": value},
                 True, lines, True)
+    if args.limit is not None and args.limit < 0:
+        raise InvalidArgument("--limit must be nonnegative")
     records = known_fermat_records(config)
     if args.limit is not None:
         records = tuple(r for r in records if r.x <= args.limit)

@@ -14,12 +14,14 @@ product of the member values):
   H  system form of A (pairwise coprime products, all members > 1)
   I  system form of E
 
-Verdicts are three-valued.  B, C, D and the system form of I ask
-whether a modulus q divides every value.  For a polynomial that holds
-exactly when q divides its fixed divisor, exact arithmetic on its
-normal form, so these verdicts are always conclusive; c*b^x + d
-closes on an empty scan of a whole residue period.  Their witnesses
-come from one residue scan (_residues), the counterpart of
+Verdicts are three-valued.  B, C and D ask whether a block of m (a
+prime of m for B, m for C, a prime p for D) divides every value, and
+one routine, _residue_verdict, answers all three with one horizon
+rule.  A polynomial fails exactly when a block divides its fixed
+divisor; otherwise its residue scan covers a whole period, so these
+verdicts never read the horizon.  Any other shape scans at most the
+horizon and fails only on an empty scan of a whole residue period
+(c*b^x + d).  The residue scan (_residues) is the counterpart of
 analysis._Scan: it skips a point where f has no value, and a witness
 carries the exact value, or None when that is over the bit budget.
 
@@ -136,27 +138,38 @@ def _residue_period(f: NtFunction, modulus: int,
     return None
 
 
-def _scan_nonzero_residue(f: NtFunction, q: int, horizon: int,
-                          config: WorkbenchConfig) -> Verdict:
-    """Common core of C and D: least x >= 1 with f(x) != 0 mod q.
-
-    A polynomial fails exactly when q divides its fixed divisor;
-    otherwise the witness lies among x = 1..deg+1 (finite differences).
-    Other shapes fail only on an empty scan of a whole residue period.
-    """
-    coeffs = _analysis(f).coeffs
-    if coeffs is not None:
-        if classify(f).fixed_divisor % q == 0:
-            return Verdict(Status.FAILS, obstruction=q)
-        reach = len(coeffs)  # deg + 1 points hold a witness
-    else:
-        reach = _residue_period(f, q, config)
-    limit = horizon if reach is None else min(horizon, reach)
+def _residue_verdict(f: NtFunction, m: int, blocks: list[int], horizon: int,
+                     config: WorkbenchConfig) -> Verdict:
+    """Least x >= 1 where no block divides f(x), the witness reported
+    modulo m; the blocks are pairwise coprime.  A polynomial fails at
+    the first block of its fixed divisor, else scans the whole joint
+    period.  Any other shape scans at most the horizon; with more than
+    one block it first fails at a block whose own period fits in the
+    horizon and is all zeros, which the joint period may not."""
+    poly = _analysis(f).coeffs is not None
+    joint = 1  # lcm of the block periods; None when one is unknown
+    for block in blocks:
+        if poly:
+            if classify(f).fixed_divisor % block == 0:
+                return Verdict(Status.FAILS, obstruction=block)
+            period = block
+        else:
+            period = _residue_period(f, block, config)
+            if period is None:
+                joint = None
+                break
+            if len(blocks) > 1 and period <= horizon and not any(
+                    r for _, r in _residues(f, block, period)):
+                return Verdict(Status.FAILS, obstruction=block)
+        joint = math.lcm(joint, period)
+    # a polynomial does not read the horizon
+    limit = joint if poly else (horizon if joint is None else min(horizon, joint))
+    q, single = math.prod(blocks), len(blocks) == 1
     for x, r in _residues(f, q, limit):
-        if r:
-            return _holds_at(f, x, q, config)
-    if reach is not None and reach <= horizon:
-        return Verdict(Status.FAILS, obstruction=q)
+        if (r != 0) if single else math.gcd(r, q) == 1:
+            return _holds_at(f, x, m, config)
+    if joint is not None and joint <= limit:
+        return Verdict(Status.FAILS, obstruction=blocks[0] if single else m)
     return Verdict(Status.UNKNOWN, horizon=horizon)
 
 
@@ -164,7 +177,7 @@ def check_condition_D(f: NtFunction, prime_bound: int,
                       horizon: int = SCAN_HORIZON,
                       config: WorkbenchConfig = DEFAULT_CONFIG) -> dict[int, Verdict]:
     """Condition D prime by prime, for every prime <= prime_bound."""
-    return {p: _scan_nonzero_residue(f, p, horizon, config)
+    return {p: _residue_verdict(f, p, [p], horizon, config)
             for p in sieve_primes(prime_bound, config)}
 
 
@@ -173,47 +186,16 @@ def check_condition_C(f: NtFunction, m: int, horizon: int = SCAN_HORIZON,
     """Condition C: some value not divisible by m (m >= 2)."""
     if m < 2:
         raise InvalidArgument("condition C needs a modulus >= 2")
-    return _scan_nonzero_residue(f, m, horizon, config)
+    return _residue_verdict(f, m, [m], horizon, config)
 
 
 def check_condition_B(f: NtFunction, m: int, horizon: int = SCAN_HORIZON,
                       config: WorkbenchConfig = DEFAULT_CONFIG) -> Verdict:
-    """Condition B: some value coprime to m.
-
-    B fails at the first prime p | m that divides every value: for a
-    polynomial, a prime of its fixed divisor; for c*b^x + d, a prime
-    whose residue period is empty.  Otherwise one scan modulo the
-    radical of m finds the least witness.  For a polynomial the Chinese
-    remainder theorem puts it within the radical, whatever the horizon;
-    for other shapes an empty scan over the joint period proves Fails.
-    """
+    """Condition B: some value coprime to m, one block per prime of m."""
     if m < 2:
         raise InvalidArgument("condition B needs a modulus >= 2")
     primes = [p for p, _ in factorize(m, config).factors]
-    poly = _analysis(f).coeffs is not None
-    joint = 1  # lcm of the per-prime periods; None when one is unknown
-    for p in primes:
-        if poly:
-            if classify(f).fixed_divisor % p == 0:
-                return Verdict(Status.FAILS, obstruction=p)
-            period = p
-        else:
-            period = _residue_period(f, p, config)
-            if period is None:
-                joint = None
-                break
-            if period <= horizon and not any(
-                    r for _, r in _residues(f, p, period)):
-                return Verdict(Status.FAILS, obstruction=p)
-        joint = math.lcm(joint, period)
-    rad = math.prod(primes)
-    limit = joint if poly else (horizon if joint is None else min(horizon, joint))
-    for x, r in _residues(f, rad, limit):
-        if math.gcd(r, rad) == 1:
-            return _holds_at(f, x, m, config)
-    if joint is not None and joint <= horizon:
-        return Verdict(Status.FAILS, obstruction=m)
-    return Verdict(Status.UNKNOWN, horizon=horizon)
+    return _residue_verdict(f, m, primes, horizon, config)
 
 
 VALUE_MODES = ("E", "F", "G")
@@ -387,7 +369,7 @@ def condition_report(f: NtFunction, m: int, horizon: int = SCAN_HORIZON,
                             horizon=horizon)
     verdicts["B"] = check_condition_B(f, m, horizon, config)
     verdicts["C"] = check_condition_C(f, m, horizon, config)
-    verdicts["D"] = _conjoin([_scan_nonzero_residue(f, p, horizon, config)
+    verdicts["D"] = _conjoin([_residue_verdict(f, p, [p], horizon, config)
                               for p in primes])
     verdicts["E"] = find_value_witness(f, m, "E", horizon, config)
     verdicts["F"] = find_value_witness(f, m, "F", horizon, config)

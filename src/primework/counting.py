@@ -118,6 +118,8 @@ def pi_general_exact(f: NtFunction, x: int, cap: int | None = 64,
                      config: WorkbenchConfig = DEFAULT_CONFIG) -> PiResult:
     """True maximum pairwise-coprime subset of the values of f in
     (1, x], via branch and bound over prime supports."""
+    if x < 0:
+        raise InvalidArgument("--limit must be nonnegative")
     values, complete = _distinct_values(f, x, config)
     if not values:
         return PiResult(x, 0, "exact", (), complete)

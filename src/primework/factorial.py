@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .analysis import _Scan, envelope_outside_bound, iter_points, traits
+from .analysis import _box, _Scan, iter_points, traits
 from .arith import is_prime, sieve_primes
 from .config import DEFAULT_CONFIG, SCAN_HORIZON, WorkbenchConfig
 from .errors import InvalidArgument
@@ -108,8 +108,7 @@ def _values_in_zm(f: NtFunction, m: int, horizon: int,
     """Values of f strictly between 1 and m and coprime to m: the least
     one, its least argument, and the value at the least argument."""
     nondec = traits(f.body).nondec
-    env = envelope_outside_bound(f, m, config)  # past it, none in [1, m-1]
-    limit = horizon if env is None else min(horizon, env[0] - 1)
+    limit = _box((f,), m, horizon, config)[1]  # past it, none in [1, m-1]
     best: tuple[int, int, int] | None = None
     scan = _Scan((f,), iter_points(1, limit),
                  lambda v: 1 < v < m and math.gcd(v, m) == 1, config)

@@ -451,9 +451,26 @@ def test_conditions_refuses_before_the_coprime_scan(capsys, argv, message):
      (1, "", "error: InvalidArgument: box must be nonnegative\n")),
     (["crt-analogy", "-f", "x^3+1", "--a", "9", "--b", "10", "--box", "-1"],
      (1, "", "error: InvalidArgument: box must be nonnegative\n")),
+    # B, C and D on a polynomial do not read the horizon
+    (["conditions", "-f", "x^2+x+1", "--modulus", "7", "--horizon", "0"],
+     (2, "A: unknown  horizon=0\n"
+         "B: holds  x=1 value=3\n"
+         "C: holds  x=1 value=3\n"
+         "D: holds  x=1 value=3\n"
+         "E: unknown  horizon=0\n"
+         "F: unknown  horizon=0\n"
+         "G: unknown  horizon=0\n"
+         "coprime sequence: []\n", "")),
+    # --limit follows the same rule
+    (["fermat", "--limit", "-2"],
+     (1, "", "error: InvalidArgument: --limit must be nonnegative\n")),
+    (["pi", "-f", "x", "--limit", "-5"],
+     (1, "", "error: InvalidArgument: --limit must be nonnegative\n")),
 ], ids=["sfm-zero", "density-zero", "sfm-negative", "density-negative",
         "conditions-negative", "factorial-negative", "phi-box-zero",
-        "phi-box-negative", "crt-analogy-box-negative"])
+        "phi-box-negative", "crt-analogy-box-negative",
+        "conditions-polynomial-zero", "fermat-limit-negative",
+        "pi-limit-negative"])
 def test_horizon_zero_is_honoured_and_negative_refused(capsys, argv,
                                                        expected):
     assert run(capsys, *argv) == expected

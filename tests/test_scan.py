@@ -252,11 +252,11 @@ def test_least_factorial_witness_matches_brute_force():
     assert found
 
 
-def _check_residue(f, fn, v, q, ok):
-    """B, C or D modulo q: a witness is the least x whose value ok
-    accepts; a Fails names an obstruction dividing q and every value far
-    past the horizon; an Unknown (never for a polynomial) has no witness
-    within the horizon."""
+def _check_residue(f, fn, v, q, ok, horizon):
+    """B, C or D modulo q at the given horizon: a witness is the least x
+    whose value ok accepts; a Fails names an obstruction dividing q and
+    every value far past the horizon; an Unknown is never a polynomial's
+    and has no witness within the horizon."""
     brute = _least((fn,), 1, HORIZON[1], ok)
     if v.status is Status.HOLDS:
         assert (v.witness.point, v.witness.values) == brute
@@ -266,11 +266,14 @@ def _check_residue(f, fn, v, q, ok):
         assert all(fn(x) is None or fn(x) % v.obstruction == 0
                    for x in range(1, FAILS_REACH[1] + 1))
     else:
-        assert brute is None
+        assert v.horizon == horizon
+        assert _least((fn,), 1, horizon, ok) is None
         assert f.arity == 1 and not classify(f).is_polynomial
 
 
 def test_residue_conditions_match_brute_force():
+    # B, C and D on a polynomial do not read the horizon: below deg + 1
+    # they still find the least witness
     rng = random.Random(20261019)
     seen = set()
     for _ in range(200):
@@ -279,16 +282,16 @@ def test_residue_conditions_match_brute_force():
         # small moduli too, so that every value of a piecewise shape can
         # share a factor with m
         m = rng.randint(2, rng.choice((6, 300)))
-        v = check_condition_B(f, m, HORIZON[1])
+        h = rng.choice((0, 1, 2, 3, HORIZON[1]))
+        v = check_condition_B(f, m, h)
         seen.add(("B", v.status))
-        _check_residue(f, fn, v, m, lambda x: math.gcd(x, m) == 1)
-        v = check_condition_C(f, m, HORIZON[1])
+        _check_residue(f, fn, v, m, lambda x: math.gcd(x, m) == 1, h)
+        v = check_condition_C(f, m, h)
         seen.add(("C", v.status))
-        _check_residue(f, fn, v, m, lambda x: x % m != 0)
-        for p, v in check_condition_D(f, rng.randint(2, 40),
-                                      HORIZON[1]).items():
+        _check_residue(f, fn, v, m, lambda x: x % m != 0, h)
+        for p, v in check_condition_D(f, rng.randint(2, 40), h).items():
             seen.add(("D", v.status))
-            _check_residue(f, fn, v, p, lambda x: x % p != 0)
+            _check_residue(f, fn, v, p, lambda x: x % p != 0, h)
     assert seen == {(c, s) for c in "BCD" for s in Status}
 
 
