@@ -17,9 +17,13 @@ The counter forms E = 2 * lc(P) * Res(P, P') once, the resultant of the
 product P and its derivative taken exactly by Bareiss elimination.  For
 p not dividing E, P is squarefree of full degree mod p, so omega(p) is a
 sum over the members: 1 for a linear member, 1 + (D/p) for a quadratic
-one of discriminant D, and deg gcd(x^p - x, f mod p) for a member f of
-degree 3 or more.  The finitely many p dividing E, and every p when
-E = 0, count the roots of P itself by that gcd.
+one of discriminant D, for a binomial a*x^d + b*x^k (k in {0, 1},
+d >= 3) the gcd(d - k, p - 1) roots of x^(d-k) = -b/a when one power
+of -b/a is 1 and none otherwise, plus the root 0 when k = 1 (poly's
+closed form: p is odd, since 2 | E, and a and b are units), and
+deg gcd(x^p - x, f mod p) for any other member f of degree 3 or more.
+The finitely many p dividing E, and every p when E = 0, count the
+roots of P itself by that gcd.
 
 actual_count sieves over n instead of testing every value.  With a
 bound B (from m, a bound on the values and the degrees: up to the
@@ -27,15 +31,26 @@ square root of the largest value, at most m for degree <= 2 and
 10 * sqrt(m) from degree 3), one bytearray over n in [1, m] strikes
 every n = r (mod p) for each prime p <= B and each root r of a member
 mod p.  Only n below X are evaluated exactly, where X is the largest
-of the members' envelope_outside_bound(f_i, B + 1) thresholds: past X
-every value exceeds B, so p | f_i(n) makes f_i(n) composite (and a
+of the members' thresholds, each the smaller of
+envelope_outside_bound(f_i, B + 1) and the Fujiwara bound of f_i - B
+and f_i - 1 (about 2 (B/|lc|)^(1/d), where the envelope's Cauchy bound
+of a member with no monotone envelope grows like B): past X every
+value exceeds B, so p | f_i(n) makes f_i(n) composite (and a
 member below 1 there ends the count at X).  A surviving n is counted
 at once when (B + 1)^2 exceeds every value, and otherwise tested by
 Horner and is_prime.  The bytearray and the prime flags need about
-m + B bytes (m + the largest value when that is at most 10^7: the
-flags then test every exact value too), checked against
+m + B bytes (m + the largest value when that is at most 10^7, the
+flags ceiling: the flags then test every exact value too), checked against
 config.sieve_memory_cap before either is built.  The polynomial
-helpers (roots mod p, the gcd route, the resultant) live in poly.
+helpers (roots mod p, the binomial closed form, the gcd route, the
+resultant, the root bounds) live in poly.
+
+least_prime_ap reads the progressions off one table of prime flags
+up to k * ceil(ln k)^2, past the least primes of every progression
+mod k if Heath-Brown's conjecture p(l, k) << k (log k)^2 holds with
+that constant, clipped to the horizon's last value, the flags ceiling
+and the sieve memory cap; a value past the table is tested by
+is_prime.
 """
 
 from __future__ import annotations
@@ -53,8 +68,19 @@ from .errors import (EvaluationBudgetExceeded, InvalidArgument,
                      MemoryBudgetExceeded, NotCoprime,
                      NotUnivariatePolynomial)
 from .expr import FunctionSystem, NtFunction
-from .poly import (_bareiss_det, _distinct_roots_gcd, _horner,
+from .poly import (_bareiss_det, _binomial, _binomial_roots,
+                   _distinct_roots_gcd, _fujiwara_outside, _horner,
                    _product_coeffs, _sylvester, roots_mod)
+
+# The largest prime-flag table built to test values: past it, one
+# is_prime call per value.
+_FLAGS_CEILING = 10**7
+
+
+def _flag_test(flags: bytearray, config: WorkbenchConfig):
+    """n -> whether n >= 0 is prime: the flags below their length, then
+    is_prime."""
+    return lambda n: flags[n] if n < len(flags) else is_prime(n, config)
 
 
 def _root_counter(coeff_lists: list[list[int]]):
@@ -71,7 +97,9 @@ def _root_counter(coeff_lists: list[list[int]]):
     linear = sum(1 for cs in coeff_lists if len(cs) == 2)
     discs = [b * b - 4 * a * c for c, b, a in
              (cs for cs in coeff_lists if len(cs) == 3)]
-    higher = [cs for cs in coeff_lists if len(cs) > 3]
+    shapes = [(cs, _binomial(cs)) for cs in coeff_lists if len(cs) > 3]
+    binomials = [b for _, b in shapes if b is not None]
+    others = [cs for cs, b in shapes if b is None]
 
     def omega(p: int) -> int:
         if e % p == 0:
@@ -81,7 +109,9 @@ def _root_counter(coeff_lists: list[list[int]]):
         for d in discs:
             if pow(d, half, p) == 1:
                 w += 2
-        for cs in higher:
+        for b in binomials:
+            w += _binomial_roots(*b, p)[0]
+        for cs in others:
             w += _distinct_roots_gcd(cs, p)
         return w
     return omega
@@ -158,6 +188,12 @@ def predicted_count(fs: FunctionSystem, m: int, prime_cutoff: int = 10**5,
 def _prediction_degrees(fs: FunctionSystem, m: int) -> list[int]:
     if m < 2:
         raise InvalidArgument("m must be at least 2")
+    return _member_degrees(fs)
+
+
+def _member_degrees(fs: FunctionSystem) -> list[int]:
+    """The members' degrees; a constant or zero member has no
+    prediction and is refused."""
     degrees = []
     for f in fs:
         d = len(univariate_coeffs(f)) - 1
@@ -197,22 +233,23 @@ def actual_count(fs: FunctionSystem, m: int,
         cap = m if degree <= 2 else 10 * math.isqrt(m)
         bound = max(1, min(math.isqrt(top), cap))
         # flags to the sieve bound, or to every value when all are small
-        table = top if top <= 10**7 else bound
+        table = top if top <= _FLAGS_CEILING else bound
         need = m + table + 2
         if need > config.sieve_memory_cap:
             raise MemoryBudgetExceeded(
                 f"sieve over n <= {m} needs ~{need} bytes")
         start, above = 1, True
-        for f in fs:
+        for f, cs in zip(fs, coeff_lists):
             env = envelope_outside_bound(f, bound + 1, config)
             if env is None:
                 start = m + 1
-            else:
-                start, above = max(start, env[0]), above and env[1]
+                continue
+            x = env[0]
+            if len(cs) > 1:
+                x = min(x, _fujiwara_outside(cs, bound + 1))
+            start, above = max(start, x), above and env[1]
     flags = prime_flags(table)
-
-    def prime(v: int) -> bool:
-        return flags[v] if v < len(flags) else is_prime(v, config)
+    prime = _flag_test(flags, config)
 
     count = 0
     scan = _Scan(fs, iter_points(1, min(start, m + 1) - 1),
@@ -282,12 +319,15 @@ def least_prime_ap(k: int,
     Unknown: entries stop before that l and p_k is None."""
     if k < 2:
         raise InvalidArgument("k must be at least 2")
+    reach = min(k * math.ceil(math.log(k)) ** 2, k * (config.horizon + 1),
+                _FLAGS_CEILING, config.sieve_memory_cap)
+    prime = _flag_test(prime_flags(max(reach, 0)), config)
     entries = []
     for l in range(1, k + 1):
         if math.gcd(l, k) != 1:
             continue
-        least = next((v for v in _progression(l, k, config)
-                      if v >= 2 and is_prime(v, config)), None)
+        least = next((v for v in _progression(l, k, config) if prime(v)),
+                     None)
         if least is None:
             return ApLeastPrimeTable(k, tuple(entries), None, None)
         entries.append((l, least))
@@ -360,7 +400,10 @@ class DensityEstimate:
 
 def density_estimate(fs: FunctionSystem, prime_cutoff: int, m: int,
                      config: WorkbenchConfig = DEFAULT_CONFIG) -> DensityEstimate:
-    """One-stop aggregate: constant, omega sample, prediction, truth."""
+    """One-stop aggregate: constant, omega sample, prediction, truth.
+    A constant or zero member has no prediction and is refused before
+    anything is counted, rather than read as a fixed prime divisor."""
+    degrees = tuple(_member_degrees(fs))
     coeff_lists = [univariate_coeffs(f) for f in fs]
     omega = _root_counter(coeff_lists)
     bh = _bh_constant(omega, len(fs), prime_cutoff, config)
@@ -372,7 +415,6 @@ def density_estimate(fs: FunctionSystem, prime_cutoff: int, m: int,
         predicted_sum, predicted_closed = pred.sum_form, pred.closed_form
     else:
         predicted_sum = predicted_closed = 0.0
-    degrees = tuple(len(cs) - 1 for cs in coeff_lists)
     return DensityEstimate(tuple(str(f) for f in fs), degrees, prime_cutoff,
                            bh.value, bh.relative_change, bh.obstruction,
                            sample, m, predicted_sum, predicted_closed,

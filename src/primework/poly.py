@@ -14,8 +14,18 @@ dense, and read for its fixed divisor, the gcd of all its values.
 Roots mod a prime p come in closed form for linear members, from
 Tonelli-Shanks on the discriminant for quadratics, and from degree 3
 by Cantor-Zassenhaus splitting of gcd(x^p - x, f), the product of the
-distinct linear factors of f mod p.  density counts roots with the gcd
-(omega(p)) and sieves with the roots themselves (actual_count).
+distinct linear factors of f mod p.  A binomial a*x^d + b*x^k with
+k in {0, 1} and d >= 3 whose two terms survive mod an odd p is read in
+closed form instead, since F_p^* is cyclic: with e = d - k, c = -b/a
+and g = gcd(e, p - 1), x^e = c has g roots when c^((p-1)/g) = 1 and
+none otherwise, the one root c^(1/e mod (p-1)) when g = 1, and x = 0
+is a root besides when k = 1; only g > 1 with c an e-th power is
+split.  density counts roots (omega(p)) with the gcd or that closed
+form and sieves with the roots themselves (actual_count).
+
+The Cauchy bound and, for actual_count, the Fujiwara bound give an X
+past which a polynomial's values leave [1, m-1]; Fujiwara's grows like
+m^(1/d) where Cauchy's grows like m.
 """
 
 from __future__ import annotations
@@ -261,6 +271,36 @@ def _split(h: list[int], p: int, out: list[int]) -> None:
         a += 1
 
 
+def _binomial(coeffs: list[int]) -> tuple[int, int, int, int] | None:
+    """(a, d, b, k) when the polynomial is a*x^d + b*x^k with a and b
+    nonzero, k in {0, 1} and d >= 3; None for any other shape."""
+    d = len(coeffs) - 1
+    if d < 3 or not coeffs[d]:
+        return None
+    terms = [i for i, c in enumerate(coeffs) if c]
+    if len(terms) != 2 or terms[0] > 1:
+        return None
+    k = terms[0]
+    return coeffs[d], d, coeffs[k], k
+
+
+def _binomial_roots(a: int, d: int, b: int, k: int,
+                    p: int) -> tuple[int, list[int] | None]:
+    """(number, ascending list) of the distinct roots of a*x^d + b*x^k
+    mod the odd prime p dividing neither a nor b, by the closed form in
+    the module docstring.  The list is None when g > 1 and c is an e-th
+    power: the number is known, the roots need a splitting."""
+    e = d - k
+    c = -b * pow(a, -1, p) % p
+    g = math.gcd(e, p - 1)
+    zero = [0] if k else []
+    if pow(c, (p - 1) // g, p) != 1:
+        return k, zero
+    if g == 1:
+        return 1 + k, zero + [pow(c, pow(e, -1, p - 1), p)]
+    return g + k, None
+
+
 def roots_mod(coeffs: list[int], p: int) -> list[int]:
     """The distinct roots of the polynomial mod the prime p, ascending;
     every residue when it vanishes identically mod p."""
@@ -273,6 +313,11 @@ def roots_mod(coeffs: list[int], p: int) -> list[int]:
         return [r for r, v in ((0, g[0]), (1, sum(g))) if v % 2 == 0]
     if len(g) <= 3:
         return _low_degree_roots(g, p)
+    binomial = _binomial(g)
+    if binomial is not None:
+        roots = _binomial_roots(*binomial, p)[1]
+        if roots is not None:
+            return roots
     out: list[int] = []
     _split(_monic(_root_part(g, p), p), p, out)
     return sorted(out)
@@ -289,6 +334,36 @@ def _cauchy_outside(coeffs: list[int], m: int) -> int:
         top = max([abs(c) for c in coeffs[1:d]] + [abs(shifted0)], default=0)
         bound = max(bound, 1.0 + top / abs(lead))
     return int(bound) + 1
+
+
+def _ceil_root(n: int, j: int) -> int:
+    """Least t >= 0 with t^j >= n, for n >= 0 and j >= 1: Newton's
+    iteration from above gives the floor of the j-th root."""
+    if n <= 1:
+        return n
+    t = 1 << -(-n.bit_length() // j)
+    while True:
+        s = ((j - 1) * t + n // t ** (j - 1)) // j
+        if s >= t:
+            break
+        t = s
+    return t if t**j >= n else t + 1
+
+
+def _fujiwara_outside(coeffs: list[int], m: int) -> int:
+    """An X with every integer x >= X outside [1, m-1] for the given
+    univariate polynomial (nonconstant), on the side of its lead.
+    Fujiwara: every root of sum a_i x^i has modulus at most 2 max_i
+    |a_i / a_d|^(1/(d-i)), with a_0 / 2 in place of a_0; here each
+    term is rounded up to an integer root of an integer, for f - 1 and
+    for f - (m-1), and X is one past twice the largest."""
+    d = len(coeffs) - 1
+    lead = abs(coeffs[d])
+    top = max(_ceil_root(-(-abs(coeffs[0] - shift) // (2 * lead)), d)
+              for shift in (1, m - 1))
+    for i in range(1, d):
+        top = max(top, _ceil_root(-(-abs(coeffs[i]) // lead), d - i))
+    return 2 * top + 1
 
 
 def _bareiss_det(rows: list[list[int]]) -> int:

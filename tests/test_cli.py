@@ -364,6 +364,20 @@ def test_density_names_the_member_it_rejects(capsys, argv, expected):
     assert (code, out, err) == (1, "", expected)
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (["-s", "x; 7", "--limit", "100"], "7"),
+    (["-f", "7", "--limit", "100"], "7"),
+    (["-s", "x; -3", "--limit", "10"], "-3"),
+    (["-s", "x; 0", "--limit", "100"], "0"),
+    (["-s", "x; 7", "--limit", "1"], "7"),
+], ids=["prime", "alone", "negative", "zero", "limit-1"])
+def test_density_refuses_a_constant_member(capsys, argv, expected):
+    # a constant member is no fixed prime divisor: 7 is itself prime
+    code, out, err = run(capsys, "density", *argv)
+    assert (code, out, err) \
+        == (1, "", f"error: NotUnivariatePolynomial: {expected}\n")
+
+
 _TOWER_TIMES_ZERO = "2^(2^x)*floor(x/25)+floor(x/20)+1"
 
 

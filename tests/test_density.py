@@ -133,6 +133,47 @@ def test_least_prime_ap_values_are_least():
             q += 10
 
 
+def _plain_least_primes(k, config):
+    """(l, least prime) by one is_prime call per value, stopping at the
+    first l with no prime up to config.horizon."""
+    start = 1 if config.strict_positive_n else 0
+    entries = []
+    for l in range(1, k + 1):
+        if math.gcd(l, k) != 1:
+            continue
+        least = next((v for v in range(l + k * start,
+                                       l + k * config.horizon + 1, k)
+                      if is_prime(v)), None)
+        if least is None:
+            break
+        entries.append((l, least))
+    return tuple(entries)
+
+
+def test_least_prime_ap_matches_a_plain_walk():
+    strict = DEFAULT_CONFIG.with_overrides(strict_positive_n=True)
+    for k in range(2, 601):
+        assert least_prime_ap(k).entries \
+            == _plain_least_primes(k, DEFAULT_CONFIG), k
+    for k in (2, 3, 30, 97, 210, 600):
+        assert least_prime_ap(k, strict).entries \
+            == _plain_least_primes(k, strict), k
+    # some least primes lie past the table's reach of k ceil(ln k)^2
+    table = least_prime_ap(4999)
+    assert table.p_k == 411923 > 4999 * 9**2
+    assert table.entries == _plain_least_primes(4999, DEFAULT_CONFIG)
+    # a horizon inside the table, and one past it (n = 82 is needed),
+    # end Unknown
+    for horizon in (5, 40, 81):
+        short = DEFAULT_CONFIG.with_overrides(horizon=horizon)
+        table = least_prime_ap(4999, short)
+        assert table.p_k is None
+        assert table.entries == _plain_least_primes(4999, short), horizon
+    # a table clipped by the memory cap tests the rest one by one
+    small = DEFAULT_CONFIG.with_overrides(sieve_memory_cap=1000)
+    assert least_prime_ap(600, small) == least_prime_ap(600)
+
+
 def test_ap_product_inequality():
     rep = ap_product_inequality(1, 2, 40)
     assert rep.c_star >= 0
@@ -168,18 +209,25 @@ DENSITY_SYSTEMS = ("x; x+2", "x; x+2; x+6", "x; 2*x+1",
                    "x^2+1", "x^2+x+41", "x^3+2")
 
 
-def _brute_roots(coeff_lists, p):
-    """x in 0..p-1 where some member vanishes mod p, by direct evaluation."""
-    count = 0
-    for x in range(p):
+def _product_values(coeff_lists, limit):
+    """The product of the members' values at x = 0..limit-1, each value
+    by direct evaluation."""
+    values = []
+    for x in range(limit):
+        prod = 1
         for cs in coeff_lists:
             acc = 0
             for c in reversed(cs):
                 acc = acc * x + c
-            if acc % p == 0:
-                count += 1
-                break
-    return count
+            prod *= acc
+        values.append(prod)
+    return values
+
+
+def _brute_roots(values, p):
+    """x in 0..p-1 where some member vanishes mod p: the prime p divides
+    the product of the values there."""
+    return sum(1 for v in values[:p] if v % p == 0)
 
 
 def _kernel_systems():
@@ -204,6 +252,19 @@ def _kernel_systems():
                  "x^2+1; 6", "x; 7", "-3*x^2+x-5; x^2+3", "5*x^2+x+1; x",
                  "x^2-2; x^2+x+1; x^3-x-1"):
         systems.append([univariate_coeffs(f) for f in parse_system(text)])
+    # binomials a*x^d + b*x^k, read in closed form at p not dividing E:
+    # degrees 3 to 9 with k = 0 and 1, negative and non-unit leads, a
+    # member zero mod 5, 7 | e with x^7 - 7 = x^7 mod 7, and one next to
+    # a quadratic and a linear member
+    for d in range(3, 10):
+        for k in (0, 1):
+            cs = [0] * (d + 1)
+            cs[d] = rng.choice([-10, -6, -3, -2, -1, 1, 2, 4, 9])
+            cs[k] = rng.choice([-1, 1]) * rng.randint(1, 500)
+            systems.append([cs])
+    for text in ("5*x^5+10", "x^7-7", "-x^4+x", "x^3+2; x^2+1; 2*x+1",
+                 "x^6+1; x^3-x"):
+        systems.append([univariate_coeffs(f) for f in parse_system(text)])
     return systems
 
 
@@ -211,8 +272,9 @@ def test_root_counter_matches_brute_force_below_3000():
     primes = sieve_primes(3000)
     for coeff_lists in _kernel_systems():
         omega = _root_counter(coeff_lists)
+        values = _product_values(coeff_lists, primes[-1])
         for p in primes:
-            assert omega(p) == _brute_roots(coeff_lists, p), (coeff_lists, p)
+            assert omega(p) == _brute_roots(values, p), (coeff_lists, p)
 
 
 def _leibniz_det(rows):
@@ -354,6 +416,22 @@ def test_actual_count_matches_plain_count_to_2000():
         counts = _plain_counts(fs, 2000)
         for m in ms:
             assert actual_count(fs, m) == counts[m], ([str(f) for f in fs], m)
+
+
+def test_actual_count_evaluates_only_below_the_fujiwara_bound(monkeypatch):
+    # no monotone envelope: the Cauchy bound would evaluate all 10^5
+    # points exactly, the Fujiwara bound about 2 sqrt(10^5) of them
+    from primework import density
+    limits = []
+    real = density.iter_points
+
+    def recording(k, limit):
+        limits.append(limit)
+        return real(k, limit)
+    monkeypatch.setattr(density, "iter_points", recording)
+    for text, count in (("x^2-3*x+5", 4900), ("2*x^2-x-1", 1)):
+        assert actual_count(parse_system(text), 10**5) == count
+    assert limits and max(limits) < 2 * math.isqrt(10**5) + 3
 
 
 def test_actual_counts_at_1e5_are_pinned():

@@ -6,7 +6,8 @@ import math
 import random
 
 from primework.arith import sieve_primes
-from primework.poly import (_fixed_divisor, _horner, _nf_add, _nf_mul,
+from primework.poly import (_cauchy_outside, _ceil_root, _fixed_divisor,
+                            _fujiwara_outside, _horner, _nf_add, _nf_mul,
                             _nf_scale, roots_mod, sqrt_mod)
 
 PRIMES = sieve_primes(3000)
@@ -34,6 +35,28 @@ def _members():
         [0],                      # the zero member
         [7],                      # a constant
         [0, 0, 0, 1],             # x^3: only the root 0
+    ]
+    members += _binomials()
+    return members
+
+
+def _binomials():
+    """a*x^d + b*x^k, the shapes roots_mod reads in closed form."""
+    rng = random.Random(20261019)
+    members = []
+    for d in range(3, 10):
+        for k in (0, 1):
+            a = rng.choice([-12, -6, -4, -3, -2, -1, 1, 2, 6, 12])
+            cs = [0] * (d + 1)
+            cs[d], cs[k] = a, rng.choice([-1, 1]) * rng.randint(1, 10**4)
+            members.append(cs)
+    members += [
+        [10, 0, 0, 0, 0, 5],           # 5x^5 + 10: zero mod 5
+        [-7, 0, 0, 0, 0, 0, 0, 1],     # x^7 - 7: 7 | e, x^7 alone mod 7
+        [-2, 0, 0, 0, 0, 0, 0, 1],     # x^7 - 2: 7 | e, both terms mod 7
+        [0, 3, 0, 0, 0, 0, 0, -7],     # -7x^7 + 3x: the lead vanishes mod 7
+        [1, 0, 0, 0, 0, 0, 1],         # x^6 + 1: six roots mod 13
+        [-1, 0, 0, 0, 0, 0, 0, 0, 1],  # x^8 - 1: g roots mod every p
     ]
     return members
 
@@ -118,3 +141,53 @@ def test_fixed_divisor_matches_a_wider_box():
     assert nontrivial > len(cases) // 3
     # negative leads are among the random ones
     assert any(nf and nf[max(nf)] < 0 for nf, arity, _ in cases if arity == 1)
+
+
+def test_binomials_take_every_closed_form_branch():
+    # x^e = c with c an e-th power and g = gcd(e, p - 1) above 1, with
+    # g = 1, and with c no e-th power, with and without the root 0
+    seen = set()
+    for cs in _binomials():
+        d = len(cs) - 1
+        k = next(i for i, c in enumerate(cs) if c)
+        for p in PRIMES[1:]:
+            if cs[d] % p and cs[k] % p:
+                g = math.gcd(d - k, p - 1)
+                roots = len(roots_mod(cs, p)) - k
+                seen.add((k, g > 1, roots > 0))
+    assert seen == {(k, big, any_) for k in (0, 1) for big in (False, True)
+                    for any_ in (False, True)} - {(0, False, False),
+                                                   (1, False, False)}
+
+
+def test_ceil_root_is_the_least_integer_root():
+    rng = random.Random(3)
+    cases = [(0, 1), (1, 5), (2, 1), (8, 3), (9, 3), (10**40, 4)]
+    cases += [(rng.randint(0, 10**rng.randint(1, 60)), rng.randint(1, 9))
+              for _ in range(300)]
+    for n, j in cases:
+        t = _ceil_root(n, j)
+        assert t**j >= n and (t == 0 or (t - 1)**j < n), (n, j)
+
+
+def test_fujiwara_bound_is_a_tail_certificate():
+    # past X every value lies outside [1, m-1] on the side of the lead
+    rng = random.Random(1957)
+    for _ in range(200):
+        deg = rng.randint(1, 5)
+        cs = [rng.randint(-10**4, 10**4) for _ in range(deg)]
+        cs.append(rng.choice([c for c in range(-9, 10) if c]))
+        m = rng.choice([2, 3, 100, rng.randint(2, 10**8)])
+        x0 = _fujiwara_outside(cs, m)
+        for x in range(x0, x0 + 50):
+            v = _horner(cs, x)
+            assert (v >= m) if cs[-1] > 0 else (v < 1), (cs, m, x)
+
+
+def test_fujiwara_bound_grows_like_the_root_of_m():
+    # no monotone envelope: the Cauchy bound is about m / |lead|, the
+    # Fujiwara bound about 2 (m / |lead|)^(1/d)
+    b = 10**5 + 1
+    for cs in ([5, -3, 1], [-1, -1, 2]):
+        assert _cauchy_outside(cs, b) > 4 * 10**4
+        assert _fujiwara_outside(cs, b) <= 2 * math.isqrt(b) + 3
