@@ -6,6 +6,15 @@ below psi_13 = 3.3e24 it runs the shortest prefix the table of least
 strong pseudoprimes proves exact for n, so every verdict there is
 proven; beyond it all thirteen bases plus seeded extra rounds are used
 and the result is flagged probable rather than proven.
+
+The primes up to a limit come from one retained table of C ints, kept
+in an anonymous memory mapping rather than on the heap and sieved again
+up to the largest limit asked so far, up to the ceiling 4 * 2^20 of the
+flat sieve; past it sieve_primes runs a segmented sieve and keeps
+nothing.  Each call gets a fresh list cut
+from the table by bisection, so a caller may change it, and the memory
+check runs on every call, also when the table already holds the answer.
+The trial-division primes below 1000 are read from the same table.
 """
 
 from __future__ import annotations
@@ -13,6 +22,8 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import mmap
+from array import array
 from dataclasses import dataclass
 
 from .config import DEFAULT_CONFIG, WorkbenchConfig
@@ -32,6 +43,13 @@ _MR_PREFIX = (1, 2, 3, 4, 5, 6, 7, 9, 12, 13, 13)
 _MR_DETERMINISTIC_BELOW = _MR_PSI[-1]
 
 _SMALL_PRIME_LIMIT = 1000
+_SEGMENT = 1 << 20
+# The largest limit the retained prime table serves; sieve_primes
+# segments past it and keeps nothing.  Its primes fit a C int.
+_TABLE_CEILING = 4 * _SEGMENT
+# every prime up to _table_limit, ascending; grown, never shrunk
+_prime_table = memoryview(b"").cast("i")
+_table_limit = 1
 _small_primes: list[int] = []
 _small_prime_set: frozenset[int] = frozenset()
 _trial_product = 1  # product of the first 30 primes, 2..113
@@ -55,10 +73,30 @@ def _flat_sieve(limit: int) -> list[int]:
     return list(itertools.compress(range(limit + 1), prime_flags(limit)))
 
 
+def _table_primes(limit: int) -> list[int]:
+    """The primes <= limit, 2 <= limit <= _TABLE_CEILING, as a fresh
+    list cut from the retained table, which is first sieved again up to
+    limit when it stops short of it."""
+    global _prime_table, _table_limit
+    if limit > _table_limit:
+        primes = array("i", itertools.compress(range(limit + 1),
+                                               prime_flags(limit)))
+        # kept in an anonymous mapping, off the malloc heap: a block that
+        # stays there for good stops the heap from shrinking past it (the
+        # benchmark's density workload peaked 0.6 MB higher with the
+        # array itself kept); it is never written after this fill
+        table = memoryview(mmap.mmap(-1, len(primes) * primes.itemsize))
+        table = table.cast("i")
+        table[:] = primes
+        _prime_table, _table_limit = table, limit
+    table = _prime_table
+    return table[:bisect.bisect_right(table, limit)].tolist()
+
+
 def _ensure_small_primes():
     global _small_primes, _small_prime_set, _trial_product
     if not _small_primes:
-        _small_primes = _flat_sieve(_SMALL_PRIME_LIMIT)
+        _small_primes = _table_primes(_SMALL_PRIME_LIMIT)
         _small_prime_set = frozenset(_small_primes)
         _trial_product = math.prod(_small_primes[:30])
 
@@ -238,20 +276,20 @@ def _check_sieve_budget(limit: int, config: WorkbenchConfig) -> None:
             f"sieve to {limit} needs ~{_estimated_sieve_bytes(limit)} bytes")
 
 
-_SEGMENT = 1 << 20
-
-
 def sieve_primes(limit: int, config: WorkbenchConfig = DEFAULT_CONFIG) -> list[int]:
-    """All primes <= limit via a segmented sieve.
+    """All primes <= limit, as a fresh list.
 
-    Raises MemoryBudgetExceeded when the estimated footprint (dominated
-    by the result list itself) would pass the configured cap.
+    Up to _TABLE_CEILING they are cut from the retained prime table;
+    past it a segmented sieve runs and nothing is kept.  Raises
+    MemoryBudgetExceeded when the estimated footprint (dominated by the
+    result list itself) would pass the configured cap, whether or not
+    the table already holds the answer.
     """
     _check_sieve_budget(limit, config)
     if limit < 2:
         return []
-    if limit <= 4 * _SEGMENT:
-        return _flat_sieve(limit)
+    if limit <= _TABLE_CEILING:
+        return _table_primes(limit)
     base = _flat_sieve(math.isqrt(limit))
     out = list(base)
     lo = math.isqrt(limit) + 1

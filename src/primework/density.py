@@ -8,22 +8,35 @@ accumulation runs over exactly-summed logs in ascending prime order so
 results are bit-stable regardless of chunking.
 
 The system is analysed once per constant: its members are validated
-and multiplied out a single time, and one root counter serves every
-prime up to the cutoff.  The primes come from the sieve, so they are not
-tested for primality again; only the public omega_p, which takes an
-arbitrary p, checks it.
+and multiplied out a single time, and one bulk root counter,
+omegas(primes) -> [omega(p), ...], serves every prime up to the cutoff
+in one call.  The primes come from the sieve's retained table, so they
+are not tested for primality again; only the public omega_p, which
+takes an arbitrary p, checks it.  The terms log(1 - omega(p)/p) -
+s log(1 - 1/p) are built in one pass and the snapshot at cutoff/10 is
+found by bisection.
 
 The counter forms E = 2 * lc(P) * Res(P, P') once, the resultant of the
 product P and its derivative taken exactly by Bareiss elimination.  For
 p not dividing E, P is squarefree of full degree mod p, so omega(p) is a
-sum over the members: 1 for a linear member, 1 + (D/p) for a quadratic
-one of discriminant D, for a binomial a*x^d + b*x^k (k in {0, 1},
-d >= 3) the gcd(d - k, p - 1) roots of x^(d-k) = -b/a when one power
-of -b/a is 1 and none otherwise, plus the root 0 when k = 1 (poly's
-closed form: p is odd, since 2 | E, and a and b are units), and
+sum over the members: 1 for a linear member; 1 + (D/p) for a quadratic
+one of discriminant D, where D = 0 or 1 mod 4 makes (D/p) depend only
+on p mod |D| for odd p not dividing D (quadratic reciprocity), so the
+symbol is taken once per class by Euler's criterion and kept in a memo
+keyed by p mod |D|, filled only at such p (2 | E keeps p = 2 out); for
+a binomial a*x^d + b*x^k (k in {0, 1}, d >= 3) with g = gcd(d - k,
+p - 1), k + 1 when g = 1, with no power taken, and otherwise k + g when
+one power of -b/a is 1 and k when not (a count only, no root is
+found; p is odd and prime to a and b, whose primes all divide E); and
 deg gcd(x^p - x, f mod p) for any other member f of degree 3 or more.
 The finitely many p dividing E, and every p when E = 0, count the
 roots of P itself by that gcd.
+
+omega(p) = p exactly when p divides every value of P, so only a p
+dividing E or at most deg P can be an obstruction; the constant reads
+it, before any omega(p), as the least prime factor of P's fixed
+divisor (poly's exact gcd over d + 1 values), and a system without one
+gets its constant from the counts alone.
 
 actual_count sieves over n instead of testing every value.  With a
 bound B (from m, a bound on the values and the degrees: up to the
@@ -55,6 +68,7 @@ is_prime.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -68,9 +82,9 @@ from .errors import (EvaluationBudgetExceeded, InvalidArgument,
                      MemoryBudgetExceeded, NotCoprime,
                      NotUnivariatePolynomial)
 from .expr import FunctionSystem, NtFunction
-from .poly import (_bareiss_det, _binomial, _binomial_roots,
-                   _distinct_roots_gcd, _fujiwara_outside, _horner,
-                   _product_coeffs, _sylvester, roots_mod)
+from .poly import (_bareiss_det, _binomial, _binomial_count,
+                   _distinct_roots_gcd, _fixed_divisor, _fujiwara_outside,
+                   _horner, _product_coeffs, _sylvester, roots_mod)
 
 # The largest prime-flag table built to test values: past it, one
 # is_prime call per value.
@@ -84,10 +98,10 @@ def _flag_test(flags: bytearray, config: WorkbenchConfig):
 
 
 def _root_counter(coeff_lists: list[list[int]]):
-    """p -> omega(p) for one system, p prime: roots of the product P of
-    the members mod p among 0..p-1, by the rule in the module docstring.
-    p is trusted to be prime.  E = 0 when P has a repeated factor, is
-    constant or is zero (a zero member)."""
+    """primes -> [omega(p) for p in primes] for one system: roots of the
+    product P of the members mod p among 0..p-1, by the rule in the
+    module docstring.  Every p is trusted to be prime.  E = 0 when P has
+    a repeated factor, is constant or is zero (a zero member)."""
     product = _product_coeffs(coeff_lists)
     if len(product) > 1 and product[-1]:
         deriv = [i * c for i, c in enumerate(product)][1:]
@@ -97,24 +111,34 @@ def _root_counter(coeff_lists: list[list[int]]):
     linear = sum(1 for cs in coeff_lists if len(cs) == 2)
     discs = [b * b - 4 * a * c for c, b, a in
              (cs for cs in coeff_lists if len(cs) == 3)]
+    # per quadratic member: D, |D| and a memo {p mod |D|: 1 + (D/p)}
+    quadratics = [(d, abs(d), {}) for d in discs]
     shapes = [(cs, _binomial(cs)) for cs in coeff_lists if len(cs) > 3]
     binomials = [b for _, b in shapes if b is not None]
     others = [cs for cs, b in shapes if b is None]
 
-    def omega(p: int) -> int:
-        if e % p == 0:
-            return _distinct_roots_gcd(product, p)
+    def count(p: int) -> int:
+        # p odd and prime to E, so to every D and to a and b
         w = linear
-        half = (p - 1) // 2
-        for d in discs:
-            if pow(d, half, p) == 1:
-                w += 2
+        for d, size, memo in quadratics:
+            roots = memo.get(p % size)
+            if roots is None:
+                roots = memo[p % size] = (2 if pow(d, (p - 1) // 2, p) == 1
+                                          else 0)
+            w += roots
         for b in binomials:
-            w += _binomial_roots(*b, p)[0]
+            w += _binomial_count(*b, p)
         for cs in others:
             w += _distinct_roots_gcd(cs, p)
         return w
-    return omega
+
+    def omegas(primes) -> list[int]:
+        if not (quadratics or binomials or others):  # no call per prime
+            return [linear if e % p else _distinct_roots_gcd(product, p)
+                    for p in primes]
+        return [count(p) if e % p else _distinct_roots_gcd(product, p)
+                for p in primes]
+    return omegas
 
 
 def omega_p(fs: FunctionSystem, p: int,
@@ -123,7 +147,7 @@ def omega_p(fs: FunctionSystem, p: int,
     coeff_lists = [univariate_coeffs(f) for f in fs]
     if not is_prime(p, config):
         raise InvalidArgument(f"{p} is not prime")
-    return _root_counter(coeff_lists)(p)
+    return _root_counter(coeff_lists)([p])[0]
 
 
 @dataclass(frozen=True)
@@ -142,24 +166,33 @@ def bateman_horn_constant(fs: FunctionSystem, prime_cutoff: int,
     can produce at most finitely many primes and C is reported as 0,
     flagged, rather than raised."""
     coeff_lists = [univariate_coeffs(f) for f in fs]
-    return _bh_constant(_root_counter(coeff_lists), len(coeff_lists),
+    return _bh_constant(coeff_lists, _root_counter(coeff_lists),
                         prime_cutoff, config)
 
 
-def _bh_constant(omega, s: int, prime_cutoff: int,
+def _obstruction(coeff_lists: list[list[int]], primes: list[int]) -> int | None:
+    """The least p in primes with omega(p) = p: the least prime factor
+    of the fixed divisor of the product P, since p divides every value
+    of P exactly when P vanishes at every residue mod p."""
+    product = _product_coeffs(coeff_lists)
+    fd = _fixed_divisor({(i,): c for i, c in enumerate(product) if c})
+    if fd == 1:
+        return None
+    return next((p for p in primes if fd % p == 0), None)
+
+
+def _bh_constant(coeff_lists: list[list[int]], omegas, prime_cutoff: int,
                  config: WorkbenchConfig) -> BhConstant:
     primes = sieve_primes(prime_cutoff, config)
-    snapshot_at = prime_cutoff // 10
-    terms: list[float] = []
-    snapshot_terms = 0
-    for p in primes:
-        w = omega(p)
-        if w == p:
-            return BhConstant(0.0, prime_cutoff, 0.0, p)
-        terms.append(math.log1p(-w / p) - s * math.log1p(-1.0 / p))
-        if p <= snapshot_at:
-            snapshot_terms = len(terms)
+    obstruction = _obstruction(coeff_lists, primes)
+    if obstruction is not None:
+        return BhConstant(0.0, prime_cutoff, 0.0, obstruction)
+    s = len(coeff_lists)
+    log1p = math.log1p
+    terms = [log1p(-w / p) - s * log1p(-1.0 / p)
+             for p, w in zip(primes, omegas(primes))]
     value = math.exp(math.fsum(terms))
+    snapshot_terms = bisect.bisect_right(primes, prime_cutoff // 10)
     if snapshot_terms and snapshot_terms < len(terms) and value:
         earlier = math.exp(math.fsum(terms[:snapshot_terms]))
         rel = abs(value - earlier) / value
@@ -186,20 +219,16 @@ def predicted_count(fs: FunctionSystem, m: int, prime_cutoff: int = 10**5,
 
 
 def _prediction_degrees(fs: FunctionSystem, m: int) -> list[int]:
-    if m < 2:
-        raise InvalidArgument("m must be at least 2")
-    return _member_degrees(fs)
-
-
-def _member_degrees(fs: FunctionSystem) -> list[int]:
-    """The members' degrees; a constant or zero member has no
-    prediction and is refused."""
+    """The members' degrees; a constant or zero member, and then m < 2,
+    have no prediction and are refused."""
     degrees = []
     for f in fs:
         d = len(univariate_coeffs(f)) - 1
         if not d:
             raise NotUnivariatePolynomial(str(f))
         degrees.append(d)
+    if m < 2:
+        raise InvalidArgument("m must be at least 2")
     return degrees
 
 
@@ -221,7 +250,21 @@ def actual_count(fs: FunctionSystem, m: int,
         raise InvalidArgument("actual_count scans univariate systems")
     if m < 1:
         return 0
-    coeff_lists = [_analysis(f).coeffs for f in fs]
+    # a constant member has one value at every n: a prime one drops out,
+    # any other leaves no n to count
+    members = []
+    for f in fs:
+        cs = _analysis(f).coeffs
+        if (cs is not None and len(cs) == 1
+                and cs[0].bit_length() <= config.bit_budget):
+            if not is_prime(cs[0], config):
+                return 0
+        else:
+            members.append((f, cs))
+    if not members:
+        return m
+    fs = [f for f, _ in members]
+    coeff_lists = [cs for _, cs in members]
     top = None
     if all(cs is not None for cs in coeff_lists):
         top = max((sum(abs(c) * m**i for i, c in enumerate(cs))
@@ -401,21 +444,23 @@ class DensityEstimate:
 def density_estimate(fs: FunctionSystem, prime_cutoff: int, m: int,
                      config: WorkbenchConfig = DEFAULT_CONFIG) -> DensityEstimate:
     """One-stop aggregate: constant, omega sample, prediction, truth.
-    A constant or zero member has no prediction and is refused before
-    anything is counted, rather than read as a fixed prime divisor."""
-    degrees = tuple(_member_degrees(fs))
+    m < 2 and a constant or zero member have no prediction and are
+    refused before anything is computed, rather than a constant read as
+    a fixed prime divisor."""
+    degrees = _prediction_degrees(fs, m)
     coeff_lists = [univariate_coeffs(f) for f in fs]
-    omega = _root_counter(coeff_lists)
-    bh = _bh_constant(omega, len(fs), prime_cutoff, config)
-    sample = tuple((p, omega(p)) for p in sieve_primes(100, config))
+    omegas = _root_counter(coeff_lists)
+    bh = _bh_constant(coeff_lists, omegas, prime_cutoff, config)
+    small = sieve_primes(100, config)
+    sample = tuple(zip(small, omegas(small)))
     # counted first: its memory check ends a huge m before the sum over m
     actual = actual_count(fs, m, config)
     if bh.obstruction is None:
-        pred = _prediction(_prediction_degrees(fs, m), m, bh.value)
+        pred = _prediction(degrees, m, bh.value)
         predicted_sum, predicted_closed = pred.sum_form, pred.closed_form
     else:
         predicted_sum = predicted_closed = 0.0
-    return DensityEstimate(tuple(str(f) for f in fs), degrees, prime_cutoff,
-                           bh.value, bh.relative_change, bh.obstruction,
-                           sample, m, predicted_sum, predicted_closed,
-                           actual)
+    return DensityEstimate(tuple(str(f) for f in fs), tuple(degrees),
+                           prime_cutoff, bh.value, bh.relative_change,
+                           bh.obstruction, sample, m, predicted_sum,
+                           predicted_closed, actual)

@@ -21,7 +21,8 @@ and g = gcd(e, p - 1), x^e = c has g roots when c^((p-1)/g) = 1 and
 none otherwise, the one root c^(1/e mod (p-1)) when g = 1, and x = 0
 is a root besides when k = 1; only g > 1 with c an e-th power is
 split.  density counts roots (omega(p)) with the gcd or that closed
-form and sieves with the roots themselves (actual_count).
+form, taking no power at all when g = 1 (_binomial_count), and sieves
+with the roots themselves (actual_count).
 
 The Cauchy bound and, for actual_count, the Fujiwara bound give an X
 past which a polynomial's values leave [1, m-1]; Fujiwara's grows like
@@ -284,21 +285,32 @@ def _binomial(coeffs: list[int]) -> tuple[int, int, int, int] | None:
     return coeffs[d], d, coeffs[k], k
 
 
+def _binomial_count(a: int, d: int, b: int, k: int, p: int) -> int:
+    """The number of distinct roots of a*x^d + b*x^k mod the odd prime p
+    dividing neither a nor b, by the closed form in the module
+    docstring: no power is taken when g = 1, one power of c otherwise,
+    and no root is found."""
+    g = math.gcd(d - k, p - 1)
+    if g > 1 and pow(-b * pow(a, -1, p), (p - 1) // g, p) != 1:
+        return k
+    return g + k
+
+
 def _binomial_roots(a: int, d: int, b: int, k: int,
-                    p: int) -> tuple[int, list[int] | None]:
-    """(number, ascending list) of the distinct roots of a*x^d + b*x^k
-    mod the odd prime p dividing neither a nor b, by the closed form in
-    the module docstring.  The list is None when g > 1 and c is an e-th
-    power: the number is known, the roots need a splitting."""
+                    p: int) -> list[int] | None:
+    """The ascending distinct roots of a*x^d + b*x^k mod the odd prime p
+    dividing neither a nor b, by the closed form in the module
+    docstring; None when g > 1 and c is an e-th power, where the roots
+    need a splitting."""
     e = d - k
     c = -b * pow(a, -1, p) % p
     g = math.gcd(e, p - 1)
     zero = [0] if k else []
     if pow(c, (p - 1) // g, p) != 1:
-        return k, zero
+        return zero
     if g == 1:
-        return 1 + k, zero + [pow(c, pow(e, -1, p - 1), p)]
-    return g + k, None
+        return zero + [pow(c, pow(e, -1, p - 1), p)]
+    return None
 
 
 def roots_mod(coeffs: list[int], p: int) -> list[int]:
@@ -315,7 +327,7 @@ def roots_mod(coeffs: list[int], p: int) -> list[int]:
         return _low_degree_roots(g, p)
     binomial = _binomial(g)
     if binomial is not None:
-        roots = _binomial_roots(*binomial, p)[1]
+        roots = _binomial_roots(*binomial, p)
         if roots is not None:
             return roots
     out: list[int] = []

@@ -5,13 +5,14 @@ import random
 
 import pytest
 
+from primework import arith
 from primework.arith import (PrimalityResult, crt_solve, euler_phi,
                              euler_phi_range, factorize, factor_with_table,
                              is_prime, least_coprime_exceeding_one,
                              multiplicative_order, primality, sieve_primes,
                              smallest_factor_table)
 from primework.config import DEFAULT_CONFIG
-from primework.errors import NotCoprime
+from primework.errors import MemoryBudgetExceeded, NotCoprime
 
 
 def _trial_prime(n):
@@ -250,3 +251,51 @@ def test_sieve_matches_the_comprehension():
     for limit in (4 * 2**20 - 1, 4 * 2**20, 4 * 2**20 + 1):
         assert sieve_primes(limit) == [i for i in range(limit + 1)
                                        if flags[i]], limit
+
+
+# --- the retained prime table ----------------------------------------------
+
+@pytest.fixture
+def empty_table(monkeypatch):
+    """Empties the retained prime table now, and again at each call."""
+    def empty():
+        monkeypatch.setattr(arith, "_prime_table", memoryview(b"").cast("i"))
+        monkeypatch.setattr(arith, "_table_limit", 1)
+    empty()
+    return empty
+
+
+def test_prime_table_answers_do_not_depend_on_call_order(empty_table):
+    rng = random.Random(15)
+    limits = sorted(rng.sample(range(-2, 60_000), 40)) + [0, 1, 2, 3, 60_000]
+    expected = {n: arith._flat_sieve(n) for n in limits}
+    interleaved = sorted(limits)
+    interleaved[::2] = reversed(interleaved[::2])
+    for order in (sorted(limits), sorted(limits, reverse=True), interleaved):
+        empty_table()
+        for n in order:
+            assert sieve_primes(n) == expected[n], n
+    # past the ceiling the segmented sieve runs and the table stays put
+    top = arith._TABLE_CEILING
+    size = len(arith._prime_table)
+    assert sieve_primes(top + 5)[-3:] == arith._flat_sieve(top + 5)[-3:]
+    assert len(arith._prime_table) == size
+
+
+def test_prime_table_hands_out_fresh_lists(empty_table):
+    first = sieve_primes(1000)
+    first[0] = 4
+    first.append(1001)
+    del first[5:10]
+    assert sieve_primes(1000) == arith._flat_sieve(1000)
+    assert sieve_primes(500) == arith._flat_sieve(500)
+    assert sieve_primes(1000) is not sieve_primes(1000)
+
+
+def test_prime_table_keeps_the_memory_check(empty_table):
+    assert len(sieve_primes(10**6)) == 78498  # the table now covers 10^6
+    tight = DEFAULT_CONFIG.with_overrides(sieve_memory_cap=10**5)
+    for limit in (10**6, 5 * 10**5):
+        with pytest.raises(MemoryBudgetExceeded):
+            sieve_primes(limit, tight)
+    assert len(sieve_primes(1000, tight)) == 168

@@ -378,6 +378,33 @@ def test_density_refuses_a_constant_member(capsys, argv, expected):
         == (1, "", f"error: NotUnivariatePolynomial: {expected}\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["-s", "x; x+1", "--limit", "1"],
+    ["-f", "x^2+1", "--limit", "1"],
+    ["-s", "x; x+2", "--limit", "0"],
+], ids=["fixed-divisor", "no-fixed-divisor", "limit-0"])
+def test_density_refuses_a_limit_below_2(capsys, argv):
+    # one answer whether or not the system has a fixed prime divisor
+    assert run(capsys, "density", *argv) == (
+        1, "", "error: InvalidArgument: m must be at least 2\n")
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (["-f", "x^2+x+41"], "density_x2_x_41.json"),
+    (["-s", "x; x+2"], "density_twins.json"),
+], ids=["euler", "twins"])
+def test_density_json_at_a_million_matches_golden_bytes(capsys, monkeypatch,
+                                                        argv, golden):
+    # constants over every prime up to 10^6, 20 times the largest cutoff
+    # of the bit-for-bit table in test_density
+    monkeypatch.delenv("WORKBENCH_CONFIG", raising=False)
+    code, out, _ = run(capsys, "density", *argv, "--horizon", "1000000",
+                       "--limit", "1000", "--json")
+    assert code == 0
+    assert out.encode() == (Path(__file__).parent / "data"
+                            / golden).read_bytes()
+
+
 _TOWER_TIMES_ZERO = "2^(2^x)*floor(x/25)+floor(x/20)+1"
 
 

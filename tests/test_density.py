@@ -9,7 +9,7 @@ import pytest
 from primework.analysis import univariate_coeffs
 from primework.arith import euler_phi, is_prime, sieve_primes
 from primework.config import DEFAULT_CONFIG
-from primework.density import (_root_counter, actual_count,
+from primework.density import (_obstruction, _root_counter, actual_count,
                                ap_product_inequality, bateman_horn_constant,
                                density_estimate, dlvp_ratio, least_prime_ap,
                                omega_p, predicted_count)
@@ -265,16 +265,48 @@ def _kernel_systems():
     for text in ("5*x^5+10", "x^7-7", "-x^4+x", "x^3+2; x^2+1; 2*x+1",
                  "x^6+1; x^3-x"):
         systems.append([univariate_coeffs(f) for f in parse_system(text)])
+    # quadratics whose symbol is memoised mod |D|: p | D (x^2+5, D = -20;
+    # 3x^2+5, p | lc too), and classes mod |D| that hold 2 next to odd
+    # primes (D = -3, -7, 5, -163: 491 = 2 mod 163)
+    for text in ("x^2+5", "3*x^2+5", "x^2+x+1", "x^2+x+2", "x^2+x-1",
+                 "x^2+x+41; x", "x^2+x+1; x^2+x+2; 2*x+1"):
+        systems.append([univariate_coeffs(f) for f in parse_system(text)])
     return systems
 
 
 def test_root_counter_matches_brute_force_below_3000():
     primes = sieve_primes(3000)
+    shuffled = primes[:]
+    random.Random(3).shuffle(shuffled)
     for coeff_lists in _kernel_systems():
-        omega = _root_counter(coeff_lists)
         values = _product_values(coeff_lists, primes[-1])
-        for p in primes:
-            assert omega(p) == _brute_roots(values, p), (coeff_lists, p)
+        brute = [_brute_roots(values, p) for p in primes]
+        assert _root_counter(coeff_lists)(primes) == brute, coeff_lists
+        # the memo does not depend on the order the primes come in
+        by_prime = dict(zip(primes, brute))
+        assert _root_counter(coeff_lists)(shuffled) \
+            == [by_prime[p] for p in shuffled], coeff_lists
+        # the obstruction is read off the fixed divisor, not the counts
+        assert _obstruction(coeff_lists, primes) == next(
+            (p for p, w in zip(primes, brute) if w == p), None), coeff_lists
+
+
+def test_memoised_symbol_matches_euler_criterion():
+    # x^2 + b x + c with D = b^2 - 4c: omega(p) = 1 + (D/p) at odd p not
+    # dividing D, the symbol read from a memo keyed by p mod |D|
+    rng = random.Random(41)
+    primes = sieve_primes(10**5)
+    ds = [-4, -3, 5, -163, 8, 12, 1]
+    ds += [rng.choice([-1, 1]) * rng.randint(2, 10**k) for k in (2, 3, 4, 6)
+           for _ in range(3)]
+    for d in ds:
+        d = 4 * d + (d % 2) if d % 4 in (2, 3) else d  # 0 or 1 mod 4
+        b = d % 4
+        omegas = _root_counter([[(b - d) // 4, b, 1]])(primes)
+        for p, w in zip(primes, omegas):
+            if p % 2 and d % p:
+                euler = pow(d, (p - 1) // 2, p)
+                assert w == (2 if euler == 1 else 0), (d, p)
 
 
 def _leibniz_det(rows):
@@ -363,6 +395,22 @@ def test_density_estimate_reuses_one_constant():
                                      for p in sieve_primes(100))
 
 
+def test_density_estimate_refuses_m_below_2_before_any_work(monkeypatch):
+    # with or without a fixed prime divisor, and before the sieve
+    from primework import density
+
+    def untouched(*args):
+        raise AssertionError("sieved before m was checked")
+    monkeypatch.setattr(density, "sieve_primes", untouched)
+    for text in ("x; x+1", "x^2+1", "x; x+2"):
+        for m in (1, 0, -4):
+            with pytest.raises(InvalidArgument, match="m must be at least 2"):
+                density_estimate(parse_system(text), 1000, m)
+    # a constant member is still named first
+    with pytest.raises(NotUnivariatePolynomial):
+        density_estimate(parse_system("x; 7"), 1000, 1)
+
+
 def test_actual_count_raises_on_over_budget_values():
     fs = parse_system("2^x+1")
     assert actual_count(fs, 40) == 5  # 3, 5, 17, 257, 65537
@@ -416,6 +464,27 @@ def test_actual_count_matches_plain_count_to_2000():
         counts = _plain_counts(fs, 2000)
         for m in ms:
             assert actual_count(fs, m) == counts[m], ([str(f) for f in fs], m)
+
+
+def test_actual_count_with_constant_members_matches_plain_count():
+    # a prime constant drops out, any other constant leaves no n
+    rng = random.Random(20261019)
+    constants = [0, 1, -7, 6, 7, 2, -2, 97, 1000003]
+    polys = ["x", "x+2", "x^2+1", "2*x+1", "x^2-3*x+5", "x^3+2", "6*x+3"]
+    texts = [str(c) for c in constants] + ["x; 0", "x; 1", "x; -7", "x; 6",
+                                           "x; 7", "7; x+2; 7", "2; 3; 5"]
+    for _ in range(30):
+        members = rng.sample(polys, rng.randint(0, 2))
+        members += [str(rng.choice(constants))
+                    for _ in range(rng.randint(1, 2))]
+        rng.shuffle(members)
+        texts.append("; ".join(members))
+    for text in texts:
+        fs = parse_system(text)
+        counts = _plain_counts(fs, 600)
+        for m in (0, 1, 2, 17, 600):
+            assert actual_count(fs, m) == counts[m], (text, m)
+    assert actual_count(parse_system("x; 7"), 10**5) == 9592  # pi(10^5)
 
 
 def test_actual_count_evaluates_only_below_the_fujiwara_bound(monkeypatch):
