@@ -7,6 +7,13 @@ strong pseudoprimes proves exact for n, so every verdict there is
 proven; beyond it all thirteen bases plus seeded extra rounds are used
 and the result is flagged probable rather than proven.
 
+This is the only module that builds a prime table, and each builder
+checks its own byte count against config.sieve_memory_cap through
+_check_sieve_budget before anything is allocated: prime_flags one byte
+per n, smallest_factor_table four, euler_phi_range eight (its spf
+table and its own), and sieve_primes its segment, base sieve and the
+returned list of ints.
+
 The primes up to a limit come from one retained table of C ints, kept
 in an anonymous memory mapping rather than on the heap and sieved again
 up to the largest limit asked so far, up to the ceiling 4 * 2^20 of the
@@ -14,15 +21,18 @@ flat sieve; past it sieve_primes runs a segmented sieve and keeps
 nothing.  Each call gets a fresh list cut
 from the table by bisection, so a caller may change it, and the memory
 check runs on every call, also when the table already holds the answer.
-The trial-division primes below 1000 are read from the same table.
+The trial-division primes below 1000, the segmented sieve's base
+primes and the smallest-factor table's primes are read from the same
+table.  Primes are read off a flag table by one regex scan for the
+byte 1, which makes no int object for a composite.
 """
 
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 import mmap
+import re
 from array import array
 from dataclasses import dataclass
 
@@ -55,9 +65,18 @@ _small_prime_set: frozenset[int] = frozenset()
 _trial_product = 1  # product of the first 30 primes, 2..113
 
 
-def prime_flags(limit: int) -> bytearray:
-    """flags[n] == 1 exactly when n is prime, for 0 <= n <= limit; a
-    plain sieve of limit + 1 bytes with no memory guard."""
+def _check_sieve_budget(nbytes: int, what: str,
+                        config: WorkbenchConfig) -> None:
+    """MemoryBudgetExceeded when a table of nbytes would pass the cap."""
+    if nbytes > config.sieve_memory_cap:
+        raise MemoryBudgetExceeded(f"{what} needs ~{nbytes} bytes")
+
+
+def prime_flags(limit: int,
+                config: WorkbenchConfig = DEFAULT_CONFIG) -> bytearray:
+    """flags[n] == 1 exactly when n is prime, for 0 <= n <= limit: a
+    plain sieve of limit + 1 bytes."""
+    _check_sieve_budget(limit + 1, f"prime flags to {limit}", config)
     bs = bytearray([1]) * (limit + 1)
     bs[:2] = bytes(min(2, limit + 1))
     for i in range(2, math.isqrt(limit) + 1):
@@ -66,21 +85,18 @@ def prime_flags(limit: int) -> bytearray:
     return bs
 
 
-def _flat_sieve(limit: int) -> list[int]:
-    """Plain sieve, no memory guard.  Internal use for modest limits."""
-    if limit < 2:
-        return []
-    return list(itertools.compress(range(limit + 1), prime_flags(limit)))
+def _flagged(flags: bytearray, offset: int = 0) -> list[int]:
+    """offset + n for every n with flags[n] == 1, ascending."""
+    return [m.start() + offset for m in re.finditer(b"\x01", flags)]
 
 
 def _table_primes(limit: int) -> list[int]:
-    """The primes <= limit, 2 <= limit <= _TABLE_CEILING, as a fresh
-    list cut from the retained table, which is first sieved again up to
-    limit when it stops short of it."""
+    """The primes <= limit, limit <= _TABLE_CEILING, as a fresh list cut
+    from the retained table, which is first sieved again up to limit
+    when it stops short of it."""
     global _prime_table, _table_limit
     if limit > _table_limit:
-        primes = array("i", itertools.compress(range(limit + 1),
-                                               prime_flags(limit)))
+        primes = array("i", _flagged(prime_flags(limit)))
         # kept in an anonymous mapping, off the malloc heap: a block that
         # stays there for good stops the heap from shrinking past it (the
         # benchmark's density workload peaked 0.6 MB higher with the
@@ -269,13 +285,6 @@ def _estimated_sieve_bytes(limit: int) -> int:
     return limit // 2 // 8 + 48 * count_est
 
 
-def _check_sieve_budget(limit: int, config: WorkbenchConfig) -> None:
-    """MemoryBudgetExceeded when a sieve to limit would pass the cap."""
-    if _estimated_sieve_bytes(limit) > config.sieve_memory_cap:
-        raise MemoryBudgetExceeded(
-            f"sieve to {limit} needs ~{_estimated_sieve_bytes(limit)} bytes")
-
-
 def sieve_primes(limit: int, config: WorkbenchConfig = DEFAULT_CONFIG) -> list[int]:
     """All primes <= limit, as a fresh list.
 
@@ -285,12 +294,11 @@ def sieve_primes(limit: int, config: WorkbenchConfig = DEFAULT_CONFIG) -> list[i
     result list itself) would pass the configured cap, whether or not
     the table already holds the answer.
     """
-    _check_sieve_budget(limit, config)
-    if limit < 2:
-        return []
+    _check_sieve_budget(_estimated_sieve_bytes(limit), f"sieve to {limit}",
+                        config)
     if limit <= _TABLE_CEILING:
         return _table_primes(limit)
-    base = _flat_sieve(math.isqrt(limit))
+    base = _table_primes(math.isqrt(limit))
     out = list(base)
     lo = math.isqrt(limit) + 1
     while lo <= limit:
@@ -301,27 +309,27 @@ def sieve_primes(limit: int, config: WorkbenchConfig = DEFAULT_CONFIG) -> list[i
                 break
             start = max(p * p, (lo + p - 1) // p * p)
             seg[start - lo :: p] = bytearray(len(range(start, hi + 1, p)))
-        out.extend(itertools.compress(range(lo, hi + 1), seg))
+        out += _flagged(seg, lo)
         lo = hi + 1
     return out
 
 
-def smallest_factor_table(limit: int) -> list[int]:
-    """spf[i] = smallest prime factor of i (spf[0] = spf[1] = 0)."""
-    spf = list(range(limit + 1))
+def smallest_factor_table(limit: int, config: WorkbenchConfig = DEFAULT_CONFIG,
+                          ) -> array:
+    """spf[n] = the smallest prime factor of n (spf[0] = spf[1] = 0), as
+    an array('I') of limit + 1 entries.  One slice per prime p <= sqrt
+    limit writes p at p^2, p^2 + p, ...; the primes run downwards, so the
+    least one is written last."""
+    _check_sieve_budget(4 * (limit + 1), f"factor table to {limit}", config)
+    spf = array("I", range(limit + 1))
     if limit >= 1:
         spf[1] = 0
-    if limit >= 0:
-        spf[0] = 0
-    for i in range(2, math.isqrt(limit) + 1):
-        if spf[i] == i:  # i is prime
-            for j in range(i * i, limit + 1, i):
-                if spf[j] == j:
-                    spf[j] = i
+    for p in reversed(_table_primes(math.isqrt(max(limit, 0)))):
+        spf[p * p :: p] = array("I", [p]) * len(range(p * p, limit + 1, p))
     return spf
 
 
-def factor_with_table(n: int, spf: list[int]) -> list[tuple[int, int]]:
+def factor_with_table(n: int, spf) -> list[tuple[int, int]]:
     out = []
     while n > 1:
         p = spf[n]
@@ -345,15 +353,20 @@ def euler_phi(n: int, config: WorkbenchConfig = DEFAULT_CONFIG) -> int:
     return out
 
 
-def euler_phi_range(limit: int) -> list[int]:
-    """phi[0..limit] by sieve; phi[0] set to 0."""
-    phi = list(range(limit + 1))
-    for i in range(2, limit + 1):
-        if phi[i] == i:  # prime
-            for j in range(i, limit + 1, i):
-                phi[j] -= phi[j] // i
+def euler_phi_range(limit: int,
+                    config: WorkbenchConfig = DEFAULT_CONFIG) -> array:
+    """phi[0..limit] as an array('I'), phi[0] = 0, in one pass over the
+    smallest-factor table: with p = spf(n), phi(n) = phi(n/p) * p when p
+    divides n/p, and phi(n/p) * (p - 1) when not."""
+    _check_sieve_budget(8 * (limit + 1), f"phi table to {limit}", config)
+    spf = smallest_factor_table(limit, config)
+    phi = array("I", bytes(4 * (limit + 1)))
     if limit >= 1:
         phi[1] = 1
+    for n in range(2, limit + 1):
+        p = spf[n]
+        q = n // p
+        phi[n] = phi[q] * (p if q % p == 0 else p - 1)
     return phi
 
 

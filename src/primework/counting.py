@@ -78,16 +78,8 @@ def _distinct_values(f: NtFunction, x: int,
 
 def _supports(values: list[int],
               config: WorkbenchConfig) -> dict[int, frozenset[int]]:
-    out = {}
-    top = max(values)
-    table = smallest_factor_table(top) if top <= 10**6 else None
-    for v in values:
-        if table is not None:
-            pairs = factor_with_table(v, table)
-        else:
-            pairs = factorize(v, config).factors
-        out[v] = frozenset(p for p, _ in pairs)
-    return out
+    return {v: frozenset(p for p, _ in factorize(v, config).factors)
+            for v in values}
 
 
 def _dominance_reduce(values: list[int],
@@ -184,7 +176,7 @@ def implication_check(f: NtFunction, m_range: tuple[int, int],
     lo, hi = m_range
     if lo < 2 or hi < lo:
         raise InvalidArgument("bad range")
-    spf = smallest_factor_table(hi)
+    spf = smallest_factor_table(hi, config)
     violations = []
     for m in range(lo, hi + 1):
         pi = pi_general_exact(f, m, cap=None, config=config)

@@ -62,8 +62,8 @@ least_prime_ap reads the progressions off one table of prime flags
 up to k * ceil(ln k)^2, past the least primes of every progression
 mod k if Heath-Brown's conjecture p(l, k) << k (log k)^2 holds with
 that constant, clipped to the horizon's last value, the flags ceiling
-and the sieve memory cap; a value past the table is tested by
-is_prime.
+and one byte under the sieve memory cap, so the table is never refused;
+a value past the table is tested by is_prime.
 """
 
 from __future__ import annotations
@@ -78,8 +78,7 @@ from .analysis import (_analysis, _Scan, envelope_outside_bound, iter_points,
 from .arith import (_check_sieve_budget, euler_phi, is_prime, prime_flags,
                     sieve_primes)
 from .config import DEFAULT_CONFIG, WorkbenchConfig
-from .errors import (EvaluationBudgetExceeded, InvalidArgument,
-                     MemoryBudgetExceeded, NotCoprime,
+from .errors import (EvaluationBudgetExceeded, InvalidArgument, NotCoprime,
                      NotUnivariatePolynomial)
 from .expr import FunctionSystem, NtFunction
 from .poly import (_bareiss_det, _binomial, _binomial_count,
@@ -277,10 +276,7 @@ def actual_count(fs: FunctionSystem, m: int,
         bound = max(1, min(math.isqrt(top), cap))
         # flags to the sieve bound, or to every value when all are small
         table = top if top <= _FLAGS_CEILING else bound
-        need = m + table + 2
-        if need > config.sieve_memory_cap:
-            raise MemoryBudgetExceeded(
-                f"sieve over n <= {m} needs ~{need} bytes")
+        _check_sieve_budget(m + table + 2, f"sieve over n <= {m}", config)
         start, above = 1, True
         for f, cs in zip(fs, coeff_lists):
             env = envelope_outside_bound(f, bound + 1, config)
@@ -291,7 +287,7 @@ def actual_count(fs: FunctionSystem, m: int,
             if len(cs) > 1:
                 x = min(x, _fujiwara_outside(cs, bound + 1))
             start, above = max(start, x), above and env[1]
-    flags = prime_flags(table)
+    flags = prime_flags(table, config)
     prime = _flag_test(flags, config)
 
     count = 0
@@ -329,8 +325,7 @@ def dlvp_ratio(a: int, b: int, x: int,
         raise NotCoprime(f"gcd({a}, {b}) != 1")
     if x < 2:
         raise InvalidArgument("x must be at least 2")
-    _check_sieve_budget(x, config)
-    count = prime_flags(x)[a % b::b].count(1)
+    count = prime_flags(x, config)[a % b::b].count(1)
     return count * euler_phi(b, config) * math.log(x) / x
 
 
@@ -363,8 +358,9 @@ def least_prime_ap(k: int,
     if k < 2:
         raise InvalidArgument("k must be at least 2")
     reach = min(k * math.ceil(math.log(k)) ** 2, k * (config.horizon + 1),
-                _FLAGS_CEILING, config.sieve_memory_cap)
-    prime = _flag_test(prime_flags(max(reach, 0)), config)
+                _FLAGS_CEILING, config.sieve_memory_cap - 1)
+    flags = prime_flags(reach, config) if reach >= 0 else bytearray()
+    prime = _flag_test(flags, config)
     entries = []
     for l in range(1, k + 1):
         if math.gcd(l, k) != 1:

@@ -131,7 +131,12 @@ class _Parser:
             self.pos += 1
         if self.pos == start:
             self.error("expected an integer")
-        return int(self.text[start:self.pos])
+        digits = self.text[start:self.pos]
+        try:
+            return int(digits)
+        except ValueError:  # past the int digit limit, or a digit like '²'
+            self.pos = start
+            self.error(f"cannot read the {len(digits)}-digit integer literal")
 
     def name(self) -> str:
         self.skip_ws()

@@ -21,8 +21,8 @@ from .expr import FunctionSystem, NtFunction
 
 
 @lru_cache(maxsize=64)
-def _primes_upto(l: int) -> tuple[int, ...]:
-    return tuple(sieve_primes(l))
+def _primes_upto(l: int, config: WorkbenchConfig) -> tuple[int, ...]:
+    return tuple(sieve_primes(l, config))
 
 
 def coprime_to_factorial(v: int, l: int,
@@ -32,7 +32,7 @@ def coprime_to_factorial(v: int, l: int,
         raise InvalidArgument("v must exceed 1")
     if l < 2:
         return True
-    return all(v % p for p in _primes_upto(l))
+    return all(v % p for p in _primes_upto(l, config))
 
 
 def less_than_factorial(v: int, l: int) -> bool:

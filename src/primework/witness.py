@@ -109,7 +109,7 @@ def _sqrt_suite(lo: int, hi: int) -> BoundReport:
 
 
 def _log2_suite(lo: int, hi: int, config: WorkbenchConfig) -> BoundReport:
-    spf = smallest_factor_table(hi)
+    spf = smallest_factor_table(hi, config)
     order_cache: dict[int, int] = {}
     bad = []
     for m in range(max(lo, 2), hi + 1):
@@ -190,7 +190,7 @@ def exponent_identity_check(m_range: tuple[int, int],
     if lo < 1 or hi < lo:
         raise InvalidArgument("bad range")
     mers = parse_function("2^x - 1")
-    phi = euler_phi_range(hi)
+    phi = euler_phi_range(hi, config)
     bad = []
     for m in range(max(lo, 2), hi + 1):
         t = m

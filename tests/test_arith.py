@@ -12,6 +12,7 @@ from primework.arith import (PrimalityResult, crt_solve, euler_phi,
                              multiplicative_order, primality, sieve_primes,
                              smallest_factor_table)
 from primework.config import DEFAULT_CONFIG
+from primework.counting import _supports
 from primework.errors import MemoryBudgetExceeded, NotCoprime
 
 
@@ -268,7 +269,7 @@ def empty_table(monkeypatch):
 def test_prime_table_answers_do_not_depend_on_call_order(empty_table):
     rng = random.Random(15)
     limits = sorted(rng.sample(range(-2, 60_000), 40)) + [0, 1, 2, 3, 60_000]
-    expected = {n: arith._flat_sieve(n) for n in limits}
+    expected = {n: _comprehension_sieve(n) for n in limits}
     interleaved = sorted(limits)
     interleaved[::2] = reversed(interleaved[::2])
     for order in (sorted(limits), sorted(limits, reverse=True), interleaved):
@@ -278,7 +279,7 @@ def test_prime_table_answers_do_not_depend_on_call_order(empty_table):
     # past the ceiling the segmented sieve runs and the table stays put
     top = arith._TABLE_CEILING
     size = len(arith._prime_table)
-    assert sieve_primes(top + 5)[-3:] == arith._flat_sieve(top + 5)[-3:]
+    assert sieve_primes(top + 5)[-3:] == _comprehension_sieve(top + 5)[-3:]
     assert len(arith._prime_table) == size
 
 
@@ -287,8 +288,8 @@ def test_prime_table_hands_out_fresh_lists(empty_table):
     first[0] = 4
     first.append(1001)
     del first[5:10]
-    assert sieve_primes(1000) == arith._flat_sieve(1000)
-    assert sieve_primes(500) == arith._flat_sieve(500)
+    assert sieve_primes(1000) == _comprehension_sieve(1000)
+    assert sieve_primes(500) == _comprehension_sieve(500)
     assert sieve_primes(1000) is not sieve_primes(1000)
 
 
@@ -299,3 +300,64 @@ def test_prime_table_keeps_the_memory_check(empty_table):
         with pytest.raises(MemoryBudgetExceeded):
             sieve_primes(limit, tight)
     assert len(sieve_primes(1000, tight)) == 168
+
+
+# --- the factor and totient tables -----------------------------------------
+
+def _list_spf(limit):
+    """The list-of-ints smallest-factor table the array one replaced."""
+    spf = list(range(limit + 1))
+    if limit >= 1:
+        spf[1] = 0
+    if limit >= 0:
+        spf[0] = 0
+    for i in range(2, math.isqrt(limit) + 1):
+        if spf[i] == i:  # i is prime
+            for j in range(i * i, limit + 1, i):
+                if spf[j] == j:
+                    spf[j] = i
+    return spf
+
+
+def _double_loop_phi(limit):
+    """The double-loop totient sieve the one-pass one replaced."""
+    phi = list(range(limit + 1))
+    for i in range(2, limit + 1):
+        if phi[i] == i:  # prime
+            for j in range(i, limit + 1, i):
+                phi[j] -= phi[j] // i
+    if limit >= 1:
+        phi[1] = 1
+    return phi
+
+
+def test_factor_tables_equal_the_list_builders():
+    for limit in [*range(2000), 10**5]:
+        spf = smallest_factor_table(limit)
+        phi = euler_phi_range(limit)
+        assert (spf.typecode, phi.typecode) == ("I", "I")
+        assert spf.tolist() == _list_spf(limit), limit
+        assert phi.tolist() == _double_loop_phi(limit), limit
+
+
+def test_every_table_builder_keeps_the_memory_check():
+    tight = DEFAULT_CONFIG.with_overrides(sieve_memory_cap=10**4)
+    # each table's own byte count: 1, 4 and 8 bytes per n
+    assert len(arith.prime_flags(9999, tight)) == 10**4
+    assert len(smallest_factor_table(2499, tight)) == 2500
+    assert len(euler_phi_range(1249, tight)) == 1250
+    for build, limit in ((arith.prime_flags, 10**4),
+                         (smallest_factor_table, 2500),
+                         (euler_phi_range, 1250)):
+        with pytest.raises(MemoryBudgetExceeded, match=f"to {limit} needs"):
+            build(limit, tight)
+
+
+def test_supports_equal_the_factor_table_supports():
+    rng = random.Random(16)
+    spf = _list_spf(10**5)
+    values = [*range(2, 200), *rng.sample(range(200, 10**5 + 1), 800), 10**5]
+    supports = _supports(values, DEFAULT_CONFIG)
+    assert list(supports) == values
+    for v in values:
+        assert supports[v] == {p for p, _ in factor_with_table(v, spf)}, v

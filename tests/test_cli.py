@@ -537,6 +537,15 @@ def test_density_refuses_a_sieve_past_the_memory_cap(capsys):
     assert time.perf_counter() - start < 5
 
 
+def test_a_literal_past_the_int_digit_limit_is_a_syntax_error(capsys):
+    # 5,000 digits pass the interpreter's 4,300-digit limit on int()
+    code, out, err = run(capsys, "sfm", "-f", "x+" + "9" * 5000,
+                         "--modulus", "2")
+    assert (code, out) == (1, "")
+    assert err == ("error: ExpressionSyntaxError: cannot read the "
+                   "5000-digit integer literal (at position 2)\n")
+
+
 
 def test_one_parser_per_process_matches_fresh_calls(capsys, monkeypatch):
     # a usage error, a --json call, a text call and --help, run in one

@@ -169,9 +169,11 @@ def test_least_prime_ap_matches_a_plain_walk():
         table = least_prime_ap(4999, short)
         assert table.p_k is None
         assert table.entries == _plain_least_primes(4999, short), horizon
-    # a table clipped by the memory cap tests the rest one by one
-    small = DEFAULT_CONFIG.with_overrides(sieve_memory_cap=1000)
-    assert least_prime_ap(600, small) == least_prime_ap(600)
+    # a table clipped by the memory cap tests the rest one by one, and a
+    # cap of 0 leaves no table at all
+    for cap in (1000, 0):
+        small = DEFAULT_CONFIG.with_overrides(sieve_memory_cap=cap)
+        assert least_prime_ap(600, small) == least_prime_ap(600), cap
 
 
 def test_ap_product_inequality():
