@@ -70,11 +70,11 @@ def _normal_form(node: Node, arity: int) -> dict | None:
 
 def _magnitude(node: Node) -> Node:
     """A tree whose value at x bounds |v| for every intermediate v of
-    the exact walk at every point up to x: each constant c becomes
+    exact evaluation at every point up to x: each constant c becomes
     max(|c|, 1), Sub becomes Add, Neg its operand, Floor its numerator
     and Piecewise the sum of its arms.  Every node of it is >= 1 and
-    nondecreasing, so the exact walk's budget checks, the power
-    pre-check included, never fire where this tree's walk passes."""
+    nondecreasing, so the exact budget checks, the power pre-check
+    included, never fire where this tree's evaluation passes."""
     if isinstance(node, Const):
         return Const(max(abs(node.value), 1))
     if isinstance(node, Var):

@@ -17,6 +17,7 @@ import dataclasses
 import enum
 import functools
 import json
+import os
 import sys
 
 from .analogy import LiftStatus, check_crt_analogy
@@ -376,9 +377,18 @@ def main(argv=None) -> int:
             # pinned to zero so identical runs emit identical bytes
             "elapsed_ms": 0,
         }
-        print(json.dumps(envelope, sort_keys=True, indent=2))
+        text = json.dumps(envelope, sort_keys=True, indent=2)
     else:
-        print("\n".join(lines))
+        text = "\n".join(lines)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (`primework ... | head -1`); point it
+        # at devnull so the flush at exit raises nothing either, as the
+        # note on SIGPIPE in the signal module's docs does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     if not ok:
         return 1
     return 0 if conclusive else 2

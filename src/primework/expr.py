@@ -6,15 +6,17 @@ division by a positive constant, and ordered piecewise definitions.
 Variables map to argument slots: x, y, z, w name slots 1..4 and xN
 names slot N.
 
-One recursive walk evaluates in two domains.  evaluate() computes the
-exact integer value under a bit budget.  evaluate_mod() reduces modulo
-m as it goes, so exponential towers stay cheap; exponents are always
-computed exactly and fed to modular exponentiation, never reduced by
-order assumptions.
+Evaluation runs compiled closures in two domains: each function's tree
+is turned into nested closures once per domain, on first use, and kept
+on the function.  evaluate() computes the exact integer value under a
+bit budget.  evaluate_mod() reduces modulo m as it goes, so exponential
+towers stay cheap; exponents are always computed exactly and fed to
+modular exponentiation, never reduced by order assumptions.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .config import DEFAULT_CONFIG, WorkbenchConfig
@@ -358,67 +360,278 @@ def to_text(f: NtFunction) -> str:
 
 
 # --- evaluation ----------------------------------------------------------
+#
+# _compile turns a tree into nested closures, once per function and
+# domain.  An exact closure runs as run(point, budget) and checks every
+# intermediate value against budget; a residue closure runs as
+# run(point, m) and reduces mod m as it goes.  What does not commute with
+# reduction stays exact and unbudgeted in the residue domain: exponents,
+# floor numerators and the base of a variable exponent are exact
+# closures run at _UNBUDGETED.  A constant operand of +, -, * and a
+# constant exponent sit in closure cells, not behind a call.  Each
+# closure makes its checks in one fixed order, pinned by tests: the
+# exact Pow reads its base first, so an over-budget base is a cut before
+# the exponent is read; the residue Pow reads its exponent first, so a
+# negative one is refused before the base of a tower is built.
+#
+# The compilers recurse once per tree level and build each closure
+# after its children, so compiling a tree nests no deeper than
+# evaluating it.
 
-def _eval(node: Node, point: tuple[int, ...], m: int | None,
-          budget: int | None) -> int:
-    """The one walk: the exact value when m is None, with every
-    intermediate value checked against budget; else the residue mod m
-    (budget None).  What does not commute with reduction stays exact
-    and unbudgeted in the residue domain: exponents, floor numerators
-    and the base of a variable exponent."""
-    if isinstance(node, Const):
-        return node.value if m is None else node.value % m
-    if isinstance(node, Var):
-        v = point[node.index - 1]
-        return v if m is None else v % m
-    if isinstance(node, Add):
-        v = _eval(node.left, point, m, budget) + _eval(node.right, point, m, budget)
-    elif isinstance(node, Sub):
-        v = _eval(node.left, point, m, budget) - _eval(node.right, point, m, budget)
-    elif isinstance(node, Neg):
-        v = -_eval(node.operand, point, m, budget)
-    elif isinstance(node, Mul):
-        v = _eval(node.left, point, m, budget) * _eval(node.right, point, m, budget)
-    elif isinstance(node, Pow):
-        # exact: base first, so an over-budget base is a cut before the
-        # exponent is read; residue: exponent first, so a negative one
-        # is refused before the base of a tower is built
-        if m is None:
-            base = _eval(node.base, point, None, budget)
-        exp = _eval(node.exponent, point, None, budget)
+_UNBUDGETED = math.inf  # no bit length exceeds it
+
+
+def _over_budget(v: int, budget: int) -> EvaluationBudgetExceeded:
+    return EvaluationBudgetExceeded(
+        f"intermediate value of {v.bit_length()} bits exceeds budget {budget}")
+
+
+def _compile(node: Node, domain: str):
+    """The closure that evaluates node in domain: "exact" gives
+    run(point, budget), "residue" gives run(point, m)."""
+    return _compile_exact(node) if domain == "exact" else _compile_residue(node)
+
+
+def _operands(node: Node) -> tuple[type, Node | int, Node | int]:
+    """(kind, left, right) of a binary node, a constant side as its int:
+    f + c, f * c or c - f, as c + f, c * f and f - c are rewritten to
+    these (the values are the same)."""
+    kind, left, right = type(node), node.left, node.right
+    if type(left) is Const and kind is not Sub:
+        left, right = right, left
+    if type(right) is Const:
+        if kind is Sub:
+            return Add, left, -right.value
+        return kind, left, right.value
+    if type(left) is Const:
+        return kind, left.value, right
+    return kind, left, right
+
+
+def _compile_exact(node: Node):
+    kind = type(node)
+    if kind is Const:
+        c = node.value
+        return lambda point, budget: c
+    if kind is Var:
+        i = node.index - 1
+        return lambda point, budget: point[i]
+    if kind is Add or kind is Sub or kind is Mul:
+        # the sides compile in this frame, one frame per tree level
+        kind, left, right = _operands(node)
+        if not isinstance(left, int):
+            left = _compile_exact(left)
+        if not isinstance(right, int):
+            right = _compile_exact(right)
+        return _exact_binary(kind, left, right)
+    if kind is Neg:
+        operand = _compile_exact(node.operand)
+
+        def run(point, budget):
+            v = -operand(point, budget)
+            if v.bit_length() > budget:
+                raise _over_budget(v, budget)
+            return v
+        return run
+    if kind is Pow:
+        exponent = node.exponent
+        if type(exponent) is Const and exponent.value >= 0:
+            return _exact_const_pow(_compile_exact(node.base), exponent.value)
+        return _exact_pow(_compile_exact(node.base), _compile_exact(exponent),
+                          _max_var(exponent) > 0)
+    if kind is Floor:
+        numerator, d = _compile_exact(node.numerator), node.divisor
+
+        def run(point, budget):
+            v = numerator(point, budget) // d
+            if v.bit_length() > budget:
+                raise _over_budget(v, budget)
+            return v
+        return run
+    if kind is Piecewise:
+        return _piecewise(node.var, [(bound, _compile_exact(body))
+                                     for bound, body in node.branches],
+                          _compile_exact(node.default))
+    raise TypeError(f"not a node: {node!r}")
+
+
+def _exact_binary(kind: type, left, right):
+    if isinstance(right, int):
+        if kind is Add:
+            def run(point, budget):
+                v = left(point, budget) + right
+                if v.bit_length() > budget:
+                    raise _over_budget(v, budget)
+                return v
+        else:
+            def run(point, budget):
+                v = left(point, budget) * right
+                if v.bit_length() > budget:
+                    raise _over_budget(v, budget)
+                return v
+    elif isinstance(left, int):
+        def run(point, budget):
+            v = left - right(point, budget)
+            if v.bit_length() > budget:
+                raise _over_budget(v, budget)
+            return v
+    elif kind is Add:
+        def run(point, budget):
+            v = left(point, budget) + right(point, budget)
+            if v.bit_length() > budget:
+                raise _over_budget(v, budget)
+            return v
+    elif kind is Sub:
+        def run(point, budget):
+            v = left(point, budget) - right(point, budget)
+            if v.bit_length() > budget:
+                raise _over_budget(v, budget)
+            return v
+    else:
+        def run(point, budget):
+            v = left(point, budget) * right(point, budget)
+            if v.bit_length() > budget:
+                raise _over_budget(v, budget)
+            return v
+    return run
+
+
+def _power_refused(base: int, exp: int, budget: int) -> EvaluationBudgetExceeded:
+    return EvaluationBudgetExceeded(
+        f"power of a {abs(base).bit_length()}-bit base to a "
+        f"{exp.bit_length()}-bit exponent exceeds budget {budget}")
+
+
+def _exact_pow(base_fn, exp_fn, variable: bool):
+    # base^exp has at least exp*(bits(base)-1) bits, so an over-budget
+    # power is refused before it is built
+    def run(point, budget):
+        base = base_fn(point, budget)
+        exp = exp_fn(point, budget)
         if exp < 0:
             raise EvaluationError("negative exponent")
-        if m is not None:
-            if not _max_var(node.exponent):
-                return pow(_eval(node.base, point, m, None), exp, m)
-            base = _eval(node.base, point, None, None)
-        if base < 1 and _max_var(node.exponent):  # cheap test first
+        if base < 1 and variable:
             raise EvaluationError("variable exponent needs base >= 1")
-        if m is not None:
-            return pow(base, exp, m)
-        if budget is not None and abs(base) >= 2:
-            # base^exp has at least exp*(bits(base)-1) bits
-            if exp * (abs(base).bit_length() - 1) > budget:
-                raise EvaluationBudgetExceeded(
-                    f"power of a {abs(base).bit_length()}-bit base to a "
-                    f"{exp.bit_length()}-bit exponent exceeds budget {budget}")
+        if abs(base) >= 2 and exp * (abs(base).bit_length() - 1) > budget:
+            raise _power_refused(base, exp, budget)
         v = base**exp
-    elif isinstance(node, Floor):
-        v = _eval(node.numerator, point, None, budget) // node.divisor
-    elif isinstance(node, Piecewise):
-        guard = point[node.var - 1]
-        for bound, body in node.branches:
+        if v.bit_length() > budget:
+            raise _over_budget(v, budget)
+        return v
+    return run
+
+
+def _exact_const_pow(base_fn, exp: int):
+    # a constant exponent >= 0: no exponent to read, nothing to refuse
+    def run(point, budget):
+        base = base_fn(point, budget)
+        if abs(base) >= 2 and exp * (abs(base).bit_length() - 1) > budget:
+            raise _power_refused(base, exp, budget)
+        v = base**exp
+        if v.bit_length() > budget:
+            raise _over_budget(v, budget)
+        return v
+    return run
+
+
+def _compile_residue(node: Node):
+    kind = type(node)
+    if kind is Const:
+        c = node.value
+        return lambda point, m: c % m
+    if kind is Var:
+        i = node.index - 1
+        return lambda point, m: point[i] % m
+    if kind is Add or kind is Sub or kind is Mul:
+        # the sides compile in this frame, one frame per tree level
+        kind, left, right = _operands(node)
+        if not isinstance(left, int):
+            left = _compile_residue(left)
+        if not isinstance(right, int):
+            right = _compile_residue(right)
+        return _residue_binary(kind, left, right)
+    if kind is Neg:
+        operand = _compile_residue(node.operand)
+        return lambda point, m: -operand(point, m) % m
+    if kind is Pow:
+        exponent = node.exponent
+        if type(exponent) is Const and exponent.value >= 0:
+            base_fn, exp = _compile_residue(node.base), exponent.value
+            return lambda point, m: pow(base_fn(point, m), exp, m)
+        if _max_var(exponent):
+            return _residue_var_pow(_compile_exact(node.base),
+                                    _compile_exact(exponent))
+        return _residue_pow(_compile_residue(node.base),
+                            _compile_exact(exponent))
+    if kind is Floor:
+        numerator, d = _compile_exact(node.numerator), node.divisor
+        return lambda point, m: numerator(point, _UNBUDGETED) // d % m
+    if kind is Piecewise:
+        return _piecewise(node.var, [(bound, _compile_residue(body))
+                                     for bound, body in node.branches],
+                          _compile_residue(node.default))
+    raise TypeError(f"not a node: {node!r}")
+
+
+def _residue_binary(kind: type, left, right):
+    if isinstance(right, int):
+        if kind is Add:
+            return lambda point, m: (left(point, m) + right) % m
+        return lambda point, m: left(point, m) * right % m
+    if isinstance(left, int):
+        return lambda point, m: (left - right(point, m)) % m
+    if kind is Add:
+        return lambda point, m: (left(point, m) + right(point, m)) % m
+    if kind is Sub:
+        return lambda point, m: (left(point, m) - right(point, m)) % m
+    return lambda point, m: left(point, m) * right(point, m) % m
+
+
+def _residue_pow(base_fn, exp_fn):
+    # a constant exponent, read first: the base is reduced mod m
+    def run(point, m):
+        exp = exp_fn(point, _UNBUDGETED)
+        if exp < 0:
+            raise EvaluationError("negative exponent")
+        return pow(base_fn(point, m), exp, m)
+    return run
+
+
+def _residue_var_pow(base_fn, exp_fn):
+    # a variable exponent, read first: the base stays exact
+    def run(point, m):
+        exp = exp_fn(point, _UNBUDGETED)
+        if exp < 0:
+            raise EvaluationError("negative exponent")
+        base = base_fn(point, _UNBUDGETED)
+        if base < 1:
+            raise EvaluationError("variable exponent needs base >= 1")
+        return pow(base, exp, m)
+    return run
+
+
+def _piecewise(var: int, arms: list, default):
+    # the closure of either domain: arg is the budget or m
+    g = var - 1
+    arms = tuple(arms)
+
+    def run(point, arg):
+        guard = point[g]
+        for bound, arm in arms:
             if guard <= bound:
-                return _eval(body, point, m, budget)
-        return _eval(node.default, point, m, budget)
-    else:
-        raise TypeError(f"not a node: {node!r}")
-    if m is not None:
-        return v % m
-    if budget is not None and v.bit_length() > budget:
-        raise EvaluationBudgetExceeded(
-            f"intermediate value of {v.bit_length()} bits exceeds budget {budget}")
-    return v
+                return arm(point, arg)
+        return default(point, arg)
+    return run
+
+
+def _compiled(f: NtFunction, domain: str):
+    """f's closure in domain, compiled on first use and kept as f._exact
+    or f._residue.  NtFunction is frozen, so the closure is attached past
+    its __setattr__, as analysis._analysis attaches its cache; it is not
+    a dataclass field and takes no part in equality, hashing or output."""
+    run = _compile(f.body, domain)
+    object.__setattr__(f, "_" + domain, run)
+    return run
 
 
 def _check_point(f: NtFunction, point: tuple[int, ...]):
@@ -434,7 +647,11 @@ def evaluate(f: NtFunction, point: tuple[int, ...], *,
     """Exact value of f at point.  Components must be >= 1;
     intermediate results respect config.bit_budget."""
     _check_point(f, point)
-    return _eval(f.body, point, None, config.bit_budget)
+    try:
+        run = f._exact
+    except AttributeError:
+        run = _compiled(f, "exact")
+    return run(point, config.bit_budget)
 
 
 def evaluate_mod(f: NtFunction, point: tuple[int, ...], m: int) -> int:
@@ -444,4 +661,8 @@ def evaluate_mod(f: NtFunction, point: tuple[int, ...], m: int) -> int:
     if m < 1:
         raise InvalidArgument("modulus must be positive")
     _check_point(f, point)
-    return _eval(f.body, point, m, None)
+    try:
+        run = f._residue
+    except AttributeError:
+        run = _compiled(f, "residue")
+    return run(point, m)

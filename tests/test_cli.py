@@ -1,5 +1,6 @@
 """CLI surface: exit codes, text output, JSON determinism."""
 
+import fcntl
 import json
 import os
 import subprocess
@@ -574,3 +575,49 @@ def test_one_parser_per_process_matches_fresh_calls(capsys, monkeypatch):
     assert err.splitlines()[-1] == ("error: argument --modulus: "
                                     "invalid int value: 'ten'")
     assert [r[0] for r in results[1:]] == [0, 0, 0]
+
+
+def _cli_env():
+    src = str(Path(primework.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    env.pop("WORKBENCH_CONFIG", None)
+    return env
+
+
+@pytest.mark.skipif(not hasattr(fcntl, "F_SETPIPE_SZ"),
+                    reason="needs a pipe whose size can be set")
+def test_a_reader_that_closes_after_one_line_gets_no_traceback():
+    # `primework verify-paper --json | head -n 1`, made deterministic:
+    # the pipe holds one page, shorter than the envelope, so the CLI is
+    # still writing when the reader takes its line and closes the pipe
+    r, w = os.pipe()
+    size = fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, 4096)
+    golden = Path(__file__).parent / "data" / "verify_paper.json"
+    if size >= len(golden.read_bytes()):
+        pytest.skip(f"the pipe holds {size} bytes, the whole envelope")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "primework.cli", "verify-paper", "--json"],
+        stdout=w, stderr=subprocess.PIPE, env=_cli_env())
+    os.close(w)
+    line = b""
+    while not line.endswith(b"\n"):
+        byte = os.read(r, 1)
+        if not byte:
+            break
+        line += byte
+    os.close(r)
+    _, err = proc.communicate(timeout=120)
+    assert line == b"{\n"
+    assert b"Traceback" not in err, err.decode()
+    assert (proc.returncode, err) == (1, b"")
+
+
+def test_a_long_sum_and_deep_parentheses_answer_through_sfm(capsys):
+    # the nesting today's parser and analysis reach at the default
+    # recursion limit: compiling the tree must not lower it
+    for text, value in (("+".join(["x"] * 900), 900),
+                        ("(" * 200 + "x+2" + ")" * 200, 3)):
+        code, out, err = run(capsys, "sfm", "-f", text, "--modulus", "7")
+        assert (code, err) == (0, ""), text[:20]
+        assert out.startswith(f"least witness: x=1  values: {value} ")
