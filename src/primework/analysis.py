@@ -6,10 +6,11 @@ scans close conclusively: once every later value provably falls
 outside [1, m-1], an empty scan is a proof rather than a shrug.
 
 Each function is analysed once.  The normal form, the dense
-coefficients and the classify profile (one per function, whatever the
-config) are built lazily and cached on the NtFunction instance itself,
-so a cache lives exactly as long as its function.  The public readers
-hand out fresh dicts and lists, never the cached objects.
+coefficients, the c*b^x + d shape and the classify profile (one per
+function, whatever the config) are built lazily and cached on the
+NtFunction instance itself, so a cache lives exactly as long as its
+function.  The public readers hand out fresh dicts and lists, never
+the cached objects.
 
 The workbench scan order (iter_points) lives here too, with the one
 exact search over it (_Scan) that every least-witness, count and probe
@@ -26,8 +27,8 @@ from .errors import (DomainError, EvaluationBudgetExceeded, EvaluationError,
                      InvalidArgument, NotPolynomial, NotUnivariatePolynomial)
 from .expr import (Add, Const, Floor, Mul, Neg, NtFunction, Node, Piecewise,
                    Pow, Sub, Var, _max_var, evaluate)
-from .poly import (_cauchy_outside, _dense, _fixed_divisor, _nf_add, _nf_mul,
-                   _nf_scale)
+from .poly import (_cauchy_outside, _dense, _fixed_divisor, _fujiwara_outside,
+                   _nf_add, _nf_mul, _nf_scale)
 
 # --- polynomial normal form ---------------------------------------------
 
@@ -98,7 +99,7 @@ def _magnitude(node: Node) -> Node:
 class _Analysis:
     """What is known about one function, filled in on first use."""
 
-    __slots__ = ("nf", "coeffs", "profile", "exceeds", "magnitude")
+    __slots__ = ("nf", "coeffs", "shape", "profile", "exceeds", "magnitude")
 
     def __init__(self, f: NtFunction):
         self.nf = _normal_form(f.body, f.arity)
@@ -106,6 +107,8 @@ class _Analysis:
         # univariate polynomial
         self.coeffs = (_dense(self.nf) if self.nf is not None and f.arity == 1
                        else None)
+        # (c, b, d) for c*b^x + d; a polynomial has no variable exponent
+        self.shape = _exp_linear(f) if self.nf is None else None
         self.profile: FunctionProfile | None = None
         # exceeds_one_from per config; per-m envelopes are not kept
         self.exceeds: dict[WorkbenchConfig, tuple[int, bool] | None] = {}
@@ -315,7 +318,8 @@ def envelope_outside_bound(f: NtFunction, m: int,
     (bisection along each axis: above); c*b^x + d with c < 0, which
     strictly decreases (below); a univariate piecewise f (its tail's
     side, from past the last branch); a constant (its own side); a
-    univariate polynomial (the Cauchy bound, on the side of the lead).
+    univariate polynomial (the lesser of the Cauchy and Fujiwara bounds,
+    on the side of the lead).
 
     With such an X, exhausting the box [1, X)^k turns an empty scan
     into a proof that no value of f lies in Z_m^*.
@@ -333,9 +337,9 @@ def envelope_outside_bound(f: NtFunction, m: int,
             worst = max(worst, th)
         else:
             return worst, True
-    shape = exp_linear_shape(f)
-    if shape is not None and shape[0] < 0:
-        c, b, d = shape  # strictly decreasing: once below 1, it stays
+    a = _analysis(f)
+    if a.shape is not None and a.shape[0] < 0:
+        c, b, d = a.shape  # strictly decreasing: once below 1, it stays
         x = 1
         while c * b**x + d >= 1:
             x += 1
@@ -345,14 +349,14 @@ def envelope_outside_bound(f: NtFunction, m: int,
         if tail is None:
             return None
         return max(body.branches[-1][0] + 1, tail[0]), tail[1]
-    a = _analysis(f)
     nf = a.nf
     if nf is not None:
         if not nf or max(sum(k) for k in nf) == 0:
             v = nf.get((0,) * f.arity, 0)
             return None if 1 <= v <= m - 1 else (1, v >= m)
         if f.arity == 1:
-            return _cauchy_outside(a.coeffs, m), a.coeffs[-1] > 0
+            return (min(_cauchy_outside(a.coeffs, m),
+                        _fujiwara_outside(a.coeffs, m)), a.coeffs[-1] > 0)
     return None
 
 
@@ -464,29 +468,24 @@ class _Scan:
     the scan as a horizon would; `cut` records that point, and a
     caller must then not claim to have covered the points it passed.
 
-    `pre`, when given, filters the points before any exact evaluation
-    (the residue pre-test of conditions._pretest).  It may reject only
-    points that `accept` or the domain would, and since a rejected
-    point can no longer cut the scan, a caller passes one only after
-    _within_budget holds over all of `points`.
+    `points` may come already filtered: the value scans of conditions
+    pass only the x whose residue passes their test (conditions._residues).
+    A point left out is never evaluated, so it cannot cut the scan; a
+    caller filters only after _within_budget holds over every point.
     """
 
-    __slots__ = ("fs", "points", "accept", "config", "cut", "pre")
+    __slots__ = ("fs", "points", "accept", "config", "cut")
 
-    def __init__(self, fs, points, accept, config: WorkbenchConfig,
-                 pre=None):
+    def __init__(self, fs, points, accept, config: WorkbenchConfig):
         self.fs = fs
         self.points = points
         self.accept = accept
         self.config = config
         self.cut: tuple[int, ...] | None = None
-        self.pre = pre
 
     def __iter__(self):
         fs, accept, config = self.fs, self.accept, self.config
-        points = self.points if self.pre is None else filter(self.pre,
-                                                             self.points)
-        for point in points:
+        for point in self.points:
             values = []
             for f in fs:
                 try:
@@ -510,7 +509,12 @@ def is_identity(f: NtFunction) -> bool:
 
 
 def exp_linear_shape(f: NtFunction) -> tuple[int, int, int] | None:
-    """Match c1 * b^x + c0 with constant b >= 2; returns (c1, b, c0)."""
+    """Match c1 * b^x + c0 with constant b >= 2; returns (c1, b, c0).
+    Read off f's cached analysis: the tree is walked once."""
+    return _analysis(f).shape
+
+
+def _exp_linear(f: NtFunction) -> tuple[int, int, int] | None:
     if f.arity != 1:
         return None
     out = _collect_exp_linear(f.body)

@@ -30,14 +30,16 @@ Other shapes report Unknown when the horizon runs out, and so does a
 value scan that meets a value beyond the bit budget.
 
 E, F and G on a univariate f, and condition A's chain, scan exact
-values through analysis._Scan.  When f is not a polynomial, each point
-first gets a residue pre-test (_pretest): evaluate_mod rejects a point
-whose residue already fails (E and G: gcd(f(x) mod m, m) != 1; F:
-f(x) = 0 mod m; A: gcd(f(x) mod P, P) != 1 for P the product of the
-values kept), so only a point that passes is evaluated exactly.  Each
-test is necessary for the scan's accept, and evaluate_mod has no value
-where evaluate has none.  A rejected point is never evaluated, so it
-could not end the scan at the bit budget: the pre-test therefore runs
+values through analysis._Scan.  When f is not a polynomial, the scan
+takes its points from the residue stream (_residues), which keeps only
+the x whose residue passes a pre-test (E and G: gcd(f(x) mod m, m) = 1;
+F: f(x) != 0 mod m; A: gcd(f(x) mod P, P) = 1 for P the product of the
+values kept, the stream re-seeded at the next x whenever P grows), so
+only a point that passes is evaluated exactly.  For c*b^x + d the
+stream costs one multiplication mod m per point.  Each test is
+necessary for the scan's accept, and the stream has no value where
+evaluate has none.  A point left out is never evaluated, so it could
+not end the scan at the bit budget: the stream therefore serves a scan
 only after analysis._within_budget shows that no exact value up to the
 scan's limit can pass the budget.  Towers and tight budgets fail that
 guard and keep the exact scan, so every verdict is that of the exact
@@ -52,7 +54,7 @@ from enum import Enum
 from functools import reduce
 
 from .analysis import (_analysis, _Scan, _within_budget, classify,
-                       exceeds_one_from, exp_linear_shape, iter_points)
+                       exceeds_one_from, iter_points)
 from .arith import factorize, is_prime, multiplicative_order, sieve_primes
 from .config import DEFAULT_CONFIG, SCAN_HORIZON, WorkbenchConfig
 from .errors import (DomainError, EvaluationBudgetExceeded, EvaluationError,
@@ -86,26 +88,47 @@ class Verdict:
         return self.status is not Status.UNKNOWN
 
 
-def _residues(f: NtFunction, q: int, limit: int):
-    """Yield (x, f(x) mod q) for x = 1..limit: the residue counterpart
-    of analysis._Scan.  A polynomial runs by Horner over its cached
-    coefficients, any other f through evaluate_mod.  A point where f has
-    no value is skipped, as _Scan skips it.  Residue periods are
-    certified only for polynomials and c*b^x + d, which have no such
-    points, so a skip never hides a point that a Fails rests on."""
+def _residues(f: NtFunction, q: int, limit: int, start: int = 1):
+    """Yield (x, f(x) mod q) for x = start..limit: the one residue
+    stream of univariate scans, the counterpart of analysis._Scan.  A
+    polynomial runs by Horner over its cached coefficients, c*b^x + d by
+    one multiplication mod q per point from a seed of pow(b, start, q),
+    and any other f through evaluate_mod.  A point where f has no value
+    is skipped, as _Scan skips it.  Residue periods are certified only
+    for polynomials and c*b^x + d, which have no such points, so a skip
+    never hides a point that a Fails rests on."""
     _require_univariate(f)
-    coeffs = _analysis(f).coeffs
-    if coeffs is not None:
-        red = [c % q for c in coeffs]
-        for x in range(1, limit + 1):
+    a = _analysis(f)
+    if a.coeffs is not None:
+        red = [c % q for c in a.coeffs]
+        for x in range(start, limit + 1):
             yield x, _horner(red, x % q) % q
         return
-    for x in range(1, limit + 1):
+    if a.shape is not None:
+        c, b, d = a.shape
+        r = (c * pow(b, start, q) + d) % q
+        step = d * (1 - b)  # c*b^(x+1) + d = b*(c*b^x + d) + d*(1 - b)
+        for x in range(start, limit + 1):
+            yield x, r
+            r = (b * r + step) % q
+        return
+    for x in range(start, limit + 1):
         try:
             r = evaluate_mod(f, (x,), q)
         except (DomainError, EvaluationError):
             continue  # f has no value at x
         yield x, r
+
+
+def _pretested(f: NtFunction, limit: int, config: WorkbenchConfig) -> bool:
+    """Whether a value scan of f over x = 1..limit takes its points from
+    the residue stream, keeping only the x whose residue passes a test
+    that the scan's accept implies.  Only a univariate f that is not a
+    polynomial does (polynomial scans stay exact), and only when
+    _within_budget proves that no exact value of the scan can cut it,
+    since a point left out is never evaluated exactly."""
+    return (f.arity == 1 and _analysis(f).coeffs is None
+            and _within_budget(f, limit, config))
 
 
 def _require_univariate(f: NtFunction) -> None:
@@ -126,11 +149,11 @@ def _holds_at(f: NtFunction, x: int, modulus: int,
 def _residue_period(f: NtFunction, modulus: int,
                     config: WorkbenchConfig) -> int | None:
     """Period of x -> f(x) mod modulus over x >= 1, when provable."""
-    if _analysis(f).coeffs is not None:
+    a = _analysis(f)
+    if a.coeffs is not None:
         return modulus
-    shape = exp_linear_shape(f)
-    if shape is not None:
-        _, b, _ = shape
+    if a.shape is not None:
+        _, b, _ = a.shape
         if math.gcd(b, modulus) == 1:
             return multiplicative_order(b, modulus, config)
         if b % modulus == 0:
@@ -221,41 +244,21 @@ def find_value_witness(f: NtFunction, m: int, mode: str,
         return check_system_conditions((f,), m, horizon, config)
     if mode == "F":
         accept = lambda v: v > 1 and v % m != 0
-        residue_ok = lambda x: evaluate_mod(f, x, m) != 0
+        passes = lambda r: r != 0
     else:  # E, G: value exceeds 1 and is coprime to m
         accept = lambda v: v > 1 and math.gcd(v % m, m) == 1
-        residue_ok = lambda x: math.gcd(evaluate_mod(f, x, m), m) == 1
+        passes = lambda r: math.gcd(r, m) == 1
     limit, proof = horizon, None
     if f.arity == 1:
         limit, proof = _value_certificate(f, m, mode, horizon, config)
-    scan = _Scan((f,), iter_points(f.arity, limit), accept, config,
-                 _pretest(f, limit, config, residue_ok))
+    points = (((x,) for x, r in _residues(f, m, limit) if passes(r))
+              if _pretested(f, limit, config) else iter_points(f.arity, limit))
+    scan = _Scan((f,), points, accept, config)
     for point, values in scan:
         return Verdict(Status.HOLDS, Witness(point, values, m))
     if proof is not None and scan.cut is None:
         return proof
     return Verdict(Status.UNKNOWN, horizon=horizon)
-
-
-def _pretest(f: NtFunction, limit: int, config: WorkbenchConfig,
-             residue_ok):
-    """The residue pre-test of a value scan of f over x = 1..limit, or
-    None.  `residue_ok(point)` reads f's residue at point and must hold
-    wherever the scan's accept does; where f has no value the point is
-    rejected.  Only a univariate f that is not a polynomial gets one
-    (polynomial scans stay exact), and only when _within_budget proves
-    that no exact value of the scan can cut it, since a rejected point
-    is never evaluated exactly."""
-    if (f.arity != 1 or _analysis(f).coeffs is not None
-            or not _within_budget(f, limit, config)):
-        return None
-
-    def pre(point):
-        try:
-            return residue_ok(point)
-        except (DomainError, EvaluationError):
-            return False  # f has no value at point: the scan skips it
-    return pre
 
 
 def _value_certificate(f: NtFunction, m: int, mode: str, horizon: int,
@@ -306,10 +309,22 @@ def generate_coprime_sequence(f: NtFunction, count: int,
         # beyond x1 every value is < 1: the sequence cannot grow there
         limit = min(horizon, cert[0] - 1)
         capped = cert[0] - 1 <= horizon
-    scan = _Scan((f,), iter_points(f.arity, limit),
-                 lambda v: v > 1 and math.gcd(v, product) == 1, config,
-                 _pretest(f, limit, config, lambda x: math.gcd(
-                     evaluate_mod(f, x, product), product) == 1))
+
+    def coprime_residues():
+        # the stream mod the product kept, re-seeded at the next x
+        # whenever a kept value has grown the product
+        x, q = 0, None
+        while q != product:
+            q = product
+            for x, r in _residues(f, q, limit, x + 1):
+                if math.gcd(r, q) == 1:
+                    yield (x,)
+                    if q != product:
+                        break
+    points = (coprime_residues() if _pretested(f, limit, config)
+              else iter_points(f.arity, limit))
+    scan = _Scan((f,), points,
+                 lambda v: v > 1 and math.gcd(v, product) == 1, config)
     for point, (v,) in scan:
         entries.append((point, v))
         product *= v

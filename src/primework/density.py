@@ -44,12 +44,11 @@ square root of the largest value, at most m for degree <= 2 and
 10 * sqrt(m) from degree 3), one bytearray over n in [1, m] strikes
 every n = r (mod p) for each prime p <= B and each root r of a member
 mod p.  Only n below X are evaluated exactly, where X is the largest
-of the members' thresholds, each the smaller of
-envelope_outside_bound(f_i, B + 1) and the Fujiwara bound of f_i - B
-and f_i - 1 (about 2 (B/|lc|)^(1/d), where the envelope's Cauchy bound
-of a member with no monotone envelope grows like B): past X every
-value exceeds B, so p | f_i(n) makes f_i(n) composite (and a
-member below 1 there ends the count at X).  A surviving n is counted
+of the members' thresholds envelope_outside_bound(f_i, B + 1); for a
+member with no monotone envelope that is the lesser of its Cauchy
+bound, which grows like B, and its Fujiwara bound, about
+2 (B/|lc|)^(1/d).  Past X every value exceeds B, so p | f_i(n) makes
+f_i(n) composite (and a member below 1 there ends the count at X).  A surviving n is counted
 at once when (B + 1)^2 exceeds every value, and otherwise tested by
 Horner and is_prime.  The bytearray and the prime flags need about
 m + B bytes (m + the largest value when that is at most 10^7, the
@@ -82,8 +81,8 @@ from .errors import (EvaluationBudgetExceeded, InvalidArgument, NotCoprime,
                      NotUnivariatePolynomial)
 from .expr import FunctionSystem, NtFunction
 from .poly import (_bareiss_det, _binomial, _binomial_count,
-                   _distinct_roots_gcd, _fixed_divisor, _fujiwara_outside,
-                   _horner, _product_coeffs, _sylvester, roots_mod)
+                   _distinct_roots_gcd, _fixed_divisor, _horner,
+                   _product_coeffs, _sylvester, roots_mod)
 
 # The largest prime-flag table built to test values: past it, one
 # is_prime call per value.
@@ -278,15 +277,12 @@ def actual_count(fs: FunctionSystem, m: int,
         table = top if top <= _FLAGS_CEILING else bound
         _check_sieve_budget(m + table + 2, f"sieve over n <= {m}", config)
         start, above = 1, True
-        for f, cs in zip(fs, coeff_lists):
+        for f in fs:
             env = envelope_outside_bound(f, bound + 1, config)
             if env is None:
                 start = m + 1
                 continue
-            x = env[0]
-            if len(cs) > 1:
-                x = min(x, _fujiwara_outside(cs, bound + 1))
-            start, above = max(start, x), above and env[1]
+            start, above = max(start, env[0]), above and env[1]
     flags = prime_flags(table, config)
     prime = _flag_test(flags, config)
 

@@ -4,8 +4,8 @@ A dense polynomial is a list of integer coefficients, constant first;
 the zero polynomial is [0].  Most of this module works on these lists:
 Horner evaluation, the product of several, reduction mod p, x^e mod
 (g, p), the gcd mod p, the distinct roots mod p, the exact resultant
-by Bareiss elimination of the Sylvester matrix, and the Cauchy bound
-past which the values leave [1, m-1].
+by Bareiss elimination of the Sylvester matrix, and the Cauchy and
+Fujiwara bounds past which the values leave [1, m-1].
 
 A sparse normal form is a dict {exponent tuple: coefficient} without
 zeros, in any number of variables.  It is added, multiplied, made
@@ -24,9 +24,9 @@ split.  density counts roots (omega(p)) with the gcd or that closed
 form, taking no power at all when g = 1 (_binomial_count), and sieves
 with the roots themselves (actual_count).
 
-The Cauchy bound and, for actual_count, the Fujiwara bound give an X
-past which a polynomial's values leave [1, m-1]; Fujiwara's grows like
-m^(1/d) where Cauchy's grows like m.
+The Cauchy and Fujiwara bounds give an X past which a polynomial's
+values leave [1, m-1]; the envelope takes the lesser.  Fujiwara's grows
+like m^(1/d) where Cauchy's grows like m.
 """
 
 from __future__ import annotations

@@ -25,12 +25,14 @@ from primework.conditions import (Status, check_condition_B,
                                   generate_coprime_sequence)
 from primework.analogy import find_zm_witness
 from primework.analysis import (_magnitude, _within_budget, classify,
-                                envelope_outside_bound, exceeds_one_from)
+                                envelope_outside_bound, exceeds_one_from,
+                                traits)
 from primework.config import DEFAULT_CONFIG
 from primework.errors import (DomainError, EvaluationBudgetExceeded,
                               EvaluationError)
-from primework.expr import NtFunction, evaluate, parse_function
+from primework.expr import NtFunction, evaluate, evaluate_mod, parse_function
 from primework.factorial import least_factorial_witness
+from primework.poly import _cauchy_outside, _fujiwara_outside
 
 HORIZON = {1: 300, 2: 20}  # points per axis
 # a Fails must hold well past the horizon the certificate fitted into
@@ -189,6 +191,35 @@ def test_envelope_holds_on_its_side():
                 assert v is None or (v > 1 if above else v <= 1), (str(f), t)
     assert seen == {None, True, False,
                     ("exceeds", None), ("exceeds", True), ("exceeds", False)}
+
+
+def test_polynomial_envelope_takes_the_lesser_root_bound():
+    # a univariate polynomial with no monotone envelope gets the lesser
+    # of the Cauchy and Fujiwara bounds; past it every value lies
+    # outside [1, m-1] on the side of the lead, checked at every x of a
+    # window of 2,000 and at X + 10^k further out
+    rng = random.Random(20261023)
+    seen = set()
+    for _ in range(150):
+        deg = rng.randint(1, 5)
+        cs = [rng.randint(-10**3, 10**3) for _ in range(deg)]
+        cs.append(rng.choice([c for c in range(-9, 10) if c]))
+        f = parse_function(" + ".join(f"({c})*x^{i}" for i, c in enumerate(cs)))
+        m = rng.choice([2, 3, rng.randint(2, 10**3), rng.randint(2, 10**9)])
+        x0, above = envelope_outside_bound(f, m)
+        assert above == (cs[-1] > 0)
+        cauchy, fujiwara = _cauchy_outside(cs, m), _fujiwara_outside(cs, m)
+        # a monotone f has its exact threshold, no later than either
+        assert x0 <= min(cauchy, fujiwara)
+        if not traits(f.body).nondec:
+            assert x0 == min(cauchy, fujiwara), (str(f), m)
+            seen.add(fujiwara < cauchy)
+        for x in itertools.chain(range(x0, x0 + 2000),
+                                 (x0 + 10**k for k in range(4, 13))):
+            v = sum(c * x**i for i, c in enumerate(cs))
+            assert (v >= m) if above else (v < 1), (str(f), m, x)
+    # each bound is the lesser one on some f with no monotone envelope
+    assert seen == {True, False}
 
 
 # the fallback box of find_zm_witness has about this many points in
@@ -530,34 +561,42 @@ def test_magnitude_bounds_every_value():
     assert {(False, False), (True, True), (False, True)} <= seen
 
 
-def _count_exact_evaluations(monkeypatch, argv):
-    """Exit code, stdout and the number of exact evaluate calls of one
-    CLI call, counted in every module that holds the name."""
-    calls = [0]
+def _count_evaluations(monkeypatch, argv):
+    """Exit code, stdout and the numbers of exact (evaluate) and residue
+    (evaluate_mod) evaluations of one CLI call, counted in every module
+    that holds the names.  The counters are undone after the call, so
+    that the next call finds the names again."""
+    calls = {evaluate: 0, evaluate_mod: 0}
 
-    def counting(*args, **kwargs):
-        calls[0] += 1
-        return evaluate(*args, **kwargs)
-    for name, module in list(sys.modules.items()):
-        if (name.startswith("primework")
-                and getattr(module, "evaluate", None) is evaluate):
-            monkeypatch.setattr(module, "evaluate", counting)
+    def counting(fn):
+        def counted(*args, **kwargs):
+            calls[fn] += 1
+            return fn(*args, **kwargs)
+        return counted
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(argv)
-    return code, out.getvalue(), calls[0]
+    with monkeypatch.context() as mp:
+        for name, module in list(sys.modules.items()):
+            if name.startswith("primework"):
+                for fn in calls:
+                    if getattr(module, fn.__name__, None) is fn:
+                        mp.setattr(module, fn.__name__, counting(fn))
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+    return code, out.getvalue(), calls[evaluate], calls[evaluate_mod]
 
 
 def test_residue_pretest_skips_exact_values(monkeypatch):
     # every value of 9^x - 37 is even: the E scan mod 6 and condition
-    # A's chain past 44 run to the horizon, evaluating about 10^4 values
-    # of up to 31,700 bits on the exact path
+    # A's chain past 44 run to the horizon.  The exact path would
+    # evaluate about 10^4 values of up to 31,700 bits, and a residue per
+    # point from evaluate_mod about 10^4 more: the residue stream takes
+    # one multiplication per point instead
     monkeypatch.delenv("WORKBENCH_CONFIG", raising=False)
-    code, out, calls = _count_exact_evaluations(
+    code, out, calls, mod_calls = _count_evaluations(
         monkeypatch, ["sfm", "-f", "9^x-37", "--modulus", "6"])
     assert (code, out) == (2, "unknown (horizon 10000)\n")
-    assert calls <= 50
-    code, out, calls = _count_exact_evaluations(
+    assert calls <= 50 and mod_calls <= 50
+    code, out, calls, mod_calls = _count_evaluations(
         monkeypatch, ["conditions", "-f", "9^x-37", "--modulus", "35"])
     assert (code, out.splitlines()) == (2, [
         "A: unknown  horizon=10000",
@@ -568,4 +607,47 @@ def test_residue_pretest_skips_exact_values(monkeypatch):
         "F: holds  x=2 value=44",
         "G: holds  x=2 value=44",
         "coprime sequence: [44]"])
-    assert calls <= 50
+    assert calls <= 50 and mod_calls <= 50
+
+
+def test_residue_stream_matches_evaluate_mod():
+    # every route of conditions._residues (Horner for a polynomial, one
+    # multiplication per point for c*b^x + d, evaluate_mod otherwise)
+    # against evaluate_mod at every point where f has a value, from
+    # starts past 1 too, for q = 1, q sharing a prime with b and q far
+    # past the values.  Towers stay out: evaluate_mod computes their
+    # exponents exactly, and the magnitude guard keeps them off streams
+    shapes = tuple(s for s in PRETEST_SHAPES if s is not _tower) + (_poly1,)
+    rng = random.Random(20261024)
+    fixed = ["9^x-37", "(-3)*6^x+(-5)", "5-4^x*3", "2*(3^x)-3^x+(-1)"]
+    seen = set()
+    for i in range(240):
+        if i < len(fixed):
+            f = parse_function(fixed[i])
+        else:
+            f, _ = _shape(rng, rng.choice(shapes))
+        a = conditions._analysis(f)
+        route = ("horner" if a.coeffs is not None
+                 else "stream" if a.shape is not None else "evaluate_mod")
+        b = a.shape[1] if a.shape is not None else rng.randint(2, 9)
+        for q in (1, 6, b * rng.randint(1, 12), rng.randint(2, 10**4),
+                  rng.randint(2, 10**30)):
+            start, limit = rng.choice((1, 1, rng.randint(2, 40))), rng.randint(0, 60)
+            want = []
+            for x in range(start, limit + 1):
+                try:
+                    want.append((x, evaluate_mod(f, (x,), q)))
+                except (DomainError, EvaluationError):
+                    pass
+            assert list(conditions._residues(f, q, limit, start)) == want, \
+                (str(f), q, start, limit)
+            seen.add((route, start > 1))
+            if a.shape is not None:
+                c, _, d = a.shape
+                seen.add(("c < 0", c < 0))
+                seen.add(("d < 0", d < 0))
+                seen.add(("shares a prime with b", math.gcd(b, q) > 1))
+    assert {(r, s) for r in ("horner", "stream", "evaluate_mod")
+            for s in (True, False)} <= seen
+    assert {(k, True) for k in ("c < 0", "d < 0",
+                                "shares a prime with b")} <= seen
