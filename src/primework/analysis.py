@@ -14,19 +14,21 @@ the cached objects.
 
 The workbench scan order (iter_points) lives here too, with the one
 exact search over it (_Scan) that every least-witness, count and probe
-loop runs through.
+loop runs through: it calls each member's compiled closure directly,
+bound once per scan.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from itertools import chain, product
 
 from .config import DEFAULT_CONFIG, SCAN_HORIZON, WorkbenchConfig
 from .errors import (DomainError, EvaluationBudgetExceeded, EvaluationError,
                      InvalidArgument, NotPolynomial, NotUnivariatePolynomial)
 from .expr import (Add, Const, Floor, Mul, Neg, NtFunction, Node, Piecewise,
-                   Pow, Sub, Var, _max_var, evaluate)
+                   Pow, Sub, Var, _closure, _max_var)
 from .poly import (_cauchy_outside, _dense, _fixed_divisor, _fujiwara_outside,
                    _nf_add, _nf_mul, _nf_scale)
 
@@ -263,16 +265,16 @@ def traits(node: Node) -> Traits:
 
 def _ge_probe(f: NtFunction, point: tuple[int, ...], m: int,
               config: WorkbenchConfig) -> bool | None:
-    """Is f(point) >= m?  One evaluation at the config's bit budget (at
-    least m's bits plus 16).  False where f has no value: f is
+    """Is f(point) >= m?  One evaluation of f's exact closure at the
+    config's bit budget (at least m's bits plus 16); point has f.arity
+    components, each >= 1.  False where f has no value: f is
     nondecreasing where defined, so an undefined point can only move a
     threshold later or leave none.  None when the value is past the
     budget: a huge intermediate may still be multiplied by 0, so its
     size proves nothing about the value."""
-    probe = config.with_overrides(
-        bit_budget=max(config.bit_budget, m.bit_length() + 16))
+    budget = max(config.bit_budget, m.bit_length() + 16)
     try:
-        return evaluate(f, point, config=probe) >= m
+        return _closure(f, "exact")(point, budget) >= m
     except (DomainError, EvaluationError):
         return False
     except EvaluationBudgetExceeded:
@@ -409,28 +411,33 @@ def exceeds_one_from(f: NtFunction,
 
 # --- scan order ----------------------------------------------------------
 
-def _shell(k: int, n: int, prefix: tuple = (), has_n: bool = False):
-    if len(prefix) == k:
-        if has_n:
-            yield prefix
-        return
-    last = len(prefix) == k - 1
-    for v in range(1, n + 1):
-        if v == n:
-            yield from _shell(k, n, prefix + (v,), True)
-        elif has_n or not last:
-            yield from _shell(k, n, prefix + (v,), has_n)
+def _shell_blocks(k: int, n: int, prefix: list):
+    """The points of the max-norm shell n of N^k (k >= 2) that start
+    with `prefix` (a list of 1-tuples, each component < n), in
+    lexicographic order, as product iterators: those whose first n
+    comes later, then those whose next component is n.  A block holds
+    n - 1 or more points, so the Python work here is per block, not per
+    point."""
+    full, low = range(1, n + 1), range(1, n)
+    if len(prefix) == k - 2:
+        yield product(*prefix, low, (n,))
+    else:
+        for v in low:
+            yield from _shell_blocks(k, n, prefix + [(v,)])
+    yield product(*prefix, (n,), *[full] * (k - 1 - len(prefix)))
 
 
 def iter_points(k: int, limit: int):
     """Points of N^k with components in [1, limit], ordered by max-norm
-    with lexicographic tie-break.  This is the workbench scan order."""
+    with lexicographic tie-break.  This is the workbench scan order.
+    Each point is a k-tuple of ints >= 1, built by zip and product, so
+    the walk runs at C speed.  It stays a generator: a tracer counts the
+    points it yields.  For k < 1 it yields nothing."""
     if k == 1:
+        yield from zip(range(1, limit + 1))
+    elif k > 1:
         for n in range(1, limit + 1):
-            yield (n,)
-        return
-    for n in range(1, limit + 1):
-        yield from _shell(k, n)
+            yield from chain.from_iterable(_shell_blocks(k, n, []))
 
 
 # the guard's own budget, so that it stays cheap beside a scan that may
@@ -444,23 +451,36 @@ def _within_budget(f: NtFunction, limit: int,
     pass config.bit_budget: the magnitude tree of f (built once, cached)
     evaluates at (limit,) under that budget, capped at _GUARD_BITS.  One
     evaluation, which raises for towers and tight budgets; then the
-    answer is False."""
+    answer is False.  So is it for limit < 1, where there is no point."""
+    if limit < 1:
+        return False
     a = _analysis(f)
     if a.magnitude is None:
         a.magnitude = NtFunction(1, _magnitude(f.body))
-    if config.bit_budget > _GUARD_BITS:
-        config = config.with_overrides(bit_budget=_GUARD_BITS)
     try:
-        evaluate(a.magnitude, (limit,), config=config)
-    except (DomainError, EvaluationBudgetExceeded):  # limit < 1, or too big
+        _closure(a.magnitude, "exact")((limit,),
+                                       min(config.bit_budget, _GUARD_BITS))
+    except (DomainError, EvaluationBudgetExceeded):  # too big
         return False
     return True
+
+
+def _undefined(point, budget):
+    raise DomainError("point has the wrong number of components")
 
 
 class _Scan:
     """The one exact search: walk `points`, evaluate the members of `fs`
     in order at each point, stop at the first value `accept` rejects,
     and yield (point, values) for every point where all members pass.
+
+    The point contract: every point has fs[0].arity components, each an
+    int >= 1.  iter_points, itertools.product over range(1, n) boxes and
+    the residue-filtered streams of conditions all keep it, so the scan
+    checks no point: it binds each member's compiled exact closure once
+    (expr._closure) and calls it with config.bit_budget.  A member whose
+    arity differs from fs[0].arity is undefined at every point, as
+    evaluate would find it, and it still takes its turn in the order.
 
     A point where some member is undefined (DomainError,
     EvaluationError) has no value: it is skipped and coverage stays
@@ -484,12 +504,16 @@ class _Scan:
         self.cut: tuple[int, ...] | None = None
 
     def __iter__(self):
-        fs, accept, config = self.fs, self.accept, self.config
+        accept, budget = self.accept, self.config.bit_budget
+        k = self.fs[0].arity
+        runs = []
+        for f in self.fs:
+            runs.append(_closure(f, "exact") if f.arity == k else _undefined)
         for point in self.points:
-            values = []
-            for f in fs:
+            values = ()
+            for run in runs:
                 try:
-                    v = evaluate(f, point, config=config)
+                    v = run(point, budget)
                 except (DomainError, EvaluationError):
                     break
                 except EvaluationBudgetExceeded:
@@ -497,9 +521,9 @@ class _Scan:
                     return
                 if not accept(v):
                     break
-                values.append(v)
+                values += (v,)
             else:
-                yield point, tuple(values)
+                yield point, values
 
 
 # --- shape detection -----------------------------------------------------

@@ -11,7 +11,9 @@ is turned into nested closures once per domain, on first use, and kept
 on the function.  evaluate() computes the exact integer value under a
 bit budget.  evaluate_mod() reduces modulo m as it goes, so exponential
 towers stay cheap; exponents are always computed exactly and fed to
-modular exponentiation, never reduced by order assumptions.
+modular exponentiation, never reduced by order assumptions.  These two
+are the checked public entry points; the exact scans of analysis fetch
+a function's closure once through _closure and call it per point.
 """
 
 from __future__ import annotations
@@ -624,13 +626,19 @@ def _piecewise(var: int, arms: list, default):
     return run
 
 
-def _compiled(f: NtFunction, domain: str):
-    """f's closure in domain, compiled on first use and kept as f._exact
-    or f._residue.  NtFunction is frozen, so the closure is attached past
-    its __setattr__, as analysis._analysis attaches its cache; it is not
-    a dataclass field and takes no part in equality, hashing or output."""
-    run = _compile(f.body, domain)
-    object.__setattr__(f, "_" + domain, run)
+def _closure(f: NtFunction, domain: str):
+    """f's closure in domain ("exact" or "residue"), compiled on first
+    use and kept as f._exact or f._residue.  NtFunction is frozen, so
+    the closure is attached past its __setattr__, as analysis._analysis
+    attaches its cache; it is not a dataclass field and takes no part in
+    equality, hashing or output.  The closure checks nothing about its
+    point: a caller hands it f.arity components, each >= 1, as evaluate
+    and evaluate_mod check and as every scan point is built."""
+    name = "_exact" if domain == "exact" else "_residue"
+    run = f.__dict__.get(name)
+    if run is None:
+        run = _compile(f.body, domain)
+        object.__setattr__(f, name, run)
     return run
 
 
@@ -644,25 +652,20 @@ def _check_point(f: NtFunction, point: tuple[int, ...]):
 
 def evaluate(f: NtFunction, point: tuple[int, ...], *,
              config: WorkbenchConfig = DEFAULT_CONFIG) -> int:
-    """Exact value of f at point.  Components must be >= 1;
-    intermediate results respect config.bit_budget."""
+    """Exact value of f at point: the checked public entry point of the
+    exact domain.  The point must have f.arity components, each >= 1
+    (DomainError otherwise); intermediate results respect
+    config.bit_budget."""
     _check_point(f, point)
-    try:
-        run = f._exact
-    except AttributeError:
-        run = _compiled(f, "exact")
-    return run(point, config.bit_budget)
+    return _closure(f, "exact")(point, config.bit_budget)
 
 
 def evaluate_mod(f: NtFunction, point: tuple[int, ...], m: int) -> int:
-    """f(point) mod m in [0, m).  Components must be >= 1.  Exponential
-    towers are reduced by modular exponentiation over the exact
-    exponent."""
+    """f(point) mod m in [0, m): the checked public entry point of the
+    residue domain.  m must be positive and the point must have f.arity
+    components, each >= 1.  Exponential towers are reduced by modular
+    exponentiation over the exact exponent."""
     if m < 1:
         raise InvalidArgument("modulus must be positive")
     _check_point(f, point)
-    try:
-        run = f._residue
-    except AttributeError:
-        run = _compiled(f, "residue")
-    return run(point, m)
+    return _closure(f, "residue")(point, m)

@@ -8,7 +8,8 @@ from primework import analysis
 from primework.analysis import classify, poly_normal_form, univariate_coeffs
 from primework.conditions import (Status, Verdict, check_condition_C,
                                   check_system_conditions)
-from primework.config import DEFAULT_CONFIG
+from primework.cli import main
+from primework.config import DEFAULT_CONFIG, WorkbenchConfig
 from primework.errors import NotUnivariatePolynomial
 from primework.expr import NtFunction, parse_function
 
@@ -115,6 +116,42 @@ def test_envelope_probe_is_undecided_past_the_budget():
     tight = DEFAULT_CONFIG.with_overrides(bit_budget=4)
     assert analysis._ge_probe(parse_function("2^x"), (40,), 2**40,
                               tight) is True
+
+
+# the parent outputs of the commands whose envelopes and magnitude
+# guards run the probes; each probe passes its budget to the closure
+PROBED_COMMANDS = {
+    ("phi", "-f", "2^x+1", "--modulus", "30"): "count: 1  (box 4, exact)",
+    ("phi", "-f", "x^2+1", "--modulus", "30"): "count: 1  (box 5, exact)",
+    ("crt-analogy", "-f", "3*2^x+1", "--a", "5", "--b", "7"):
+        "status: Inapplicable\nwitness mod 5: none\nwitness mod 7: none\n"
+        "witness mod 35: x=2 value=13",
+    ("crt-analogy", "-f", "x^2+x+1", "--a", "4", "--b", "9"):
+        "status: Lifts\nwitness mod 4: x=1 value=3\nwitness mod 9: x=2 value=7\n"
+        "witness mod 36: x=2 value=7",
+    ("conditions", "-f", "3*2^x+1", "--modulus", "35"):
+        "A: holds\nB: holds  x=2 value=13\nC: holds  x=1 value=7\n"
+        "D: holds  x=1 value=7\nE: holds  x=2 value=13\nF: holds  x=1 value=7\n"
+        "G: holds  x=1 value=7\ncoprime sequence: [7, 13, 25]",
+    ("conditions", "-f", "x^2+x+1", "--modulus", "21"):
+        "A: holds\nB: holds  x=3 value=13\nC: holds  x=1 value=3\n"
+        "D: holds  x=2 value=7\nE: holds  x=3 value=13\nF: holds  x=1 value=3\n"
+        "G: holds  x=2 value=7\ncoprime sequence: [3, 7, 13]",
+}
+
+
+def test_probes_build_no_config(monkeypatch, capsys):
+    def refused(self, **kw):
+        raise AssertionError("a probe copied the config")
+    monkeypatch.delenv("WORKBENCH_CONFIG", raising=False)
+    monkeypatch.setattr(WorkbenchConfig, "with_overrides", refused)
+    for argv, want in PROBED_COMMANDS.items():
+        assert main(list(argv)) == 0
+        assert capsys.readouterr().out == want + "\n"
+    # below x = 1 there is no point, so no exact value to bound
+    f = parse_function("2^x+1")
+    assert not analysis._within_budget(f, 0, DEFAULT_CONFIG)
+    assert analysis._within_budget(f, 1, DEFAULT_CONFIG)
 
 
 @pytest.mark.parametrize("shifted, negated", [

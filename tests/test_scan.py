@@ -7,7 +7,9 @@ up to 300.  Each shape carries its own Python evaluator, so the brute
 force shares nothing with the library but the parser.  The residue
 pre-test is checked against the exact path itself: a brute-force loop
 over evaluate, whose values are checked against the shape's own, and
-which cuts where evaluate runs over the bit budget.
+which cuts where evaluate runs over the bit budget.  The scan kernel
+itself is held to the per-point evaluate loop it replaced, and the scan
+order to the recursive shell generator it replaced.
 """
 
 import contextlib
@@ -24,9 +26,9 @@ from primework.conditions import (Status, check_condition_B,
                                   check_system_conditions, find_value_witness,
                                   generate_coprime_sequence)
 from primework.analogy import find_zm_witness
-from primework.analysis import (_magnitude, _within_budget, classify,
+from primework.analysis import (_magnitude, _Scan, _within_budget, classify,
                                 envelope_outside_bound, exceeds_one_from,
-                                traits)
+                                iter_points, traits)
 from primework.config import DEFAULT_CONFIG
 from primework.errors import (DomainError, EvaluationBudgetExceeded,
                               EvaluationError)
@@ -651,3 +653,127 @@ def test_residue_stream_matches_evaluate_mod():
             for s in (True, False)} <= seen
     assert {(k, True) for k in ("c < 0", "d < 0",
                                 "shares a prime with b")} <= seen
+
+
+# The scan kernel against the per-point evaluate loop it replaced, and
+# the point order against the recursive shell generator it replaced.
+
+def _reference_scan(fs, points, accept, config):
+    """Every (point, values) the scan yields, and its cut, from a plain
+    loop over the checked public evaluate: a member undefined at a point
+    (wrong arity included) skips it, the first value past the bit budget
+    ends the scan."""
+    found = []
+    for point in points:
+        values = []
+        for f in fs:
+            try:
+                v = evaluate(f, point, config=config)
+            except (DomainError, EvaluationError):
+                break
+            except EvaluationBudgetExceeded:
+                return found, point
+            if not accept(v):
+                break
+            values.append(v)
+        else:
+            found.append((point, tuple(values)))
+    return found, None
+
+
+def _kernel(fs, points, accept, config):
+    scan = _Scan(fs, points, accept, config)
+    return list(scan), scan.cut
+
+
+KERNEL_SHAPES = (_poly1, _exp, _floor, _piecewise, _shifted_exp, _tower,
+                 _poly2)
+
+
+def _kernel_points(rng, k, count):
+    """About count points of N^k, each component >= 1: iter_points, a
+    product box (the Phi and Pi scans) or a filtered stream of 1-tuples
+    (the residue-filtered value scans)."""
+    route = rng.choice(("order", "box", "filtered") if k == 1
+                       else ("order", "box"))
+    side = max(1, round(count ** (1 / k)))
+    if route == "order":
+        return route, list(iter_points(k, side))
+    if route == "box":
+        return route, list(itertools.product(range(1, side + 1), repeat=k))
+    r = rng.randint(2, 5)
+    return route, [(x,) for x in range(1, side + 1) if x % r]
+
+
+def test_scan_kernel_matches_the_evaluate_loop():
+    rng = random.Random(20261020)
+    seen = set()
+    for _ in range(400):
+        members = [_shape(rng, rng.choice(KERNEL_SHAPES))[0]
+                   for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.3:  # one arity for all, as parse_system gives
+            k = members[0].arity
+            members = [NtFunction(max(k, f.arity), f.body) for f in members]
+        fs = tuple(members)
+        k = fs[0].arity
+        route, points = _kernel_points(rng, k, rng.choice((40, 150, 400)))
+        r = rng.randint(2, 7)
+        accept = rng.choice((lambda v: v > 1 and v % r != 0,
+                             lambda v: v % r == 0,  # rejects early
+                             lambda v: True))
+        # small budgets, so that towers cut early and cheaply
+        config = DEFAULT_CONFIG.with_overrides(
+            bit_budget=rng.choice((6, 12, 40, 2**12)))
+        want = _reference_scan(fs, points, accept, config)
+        assert _kernel(fs, iter(points), accept, config) == want, \
+            ([str(f) for f in fs], [f.arity for f in fs], route)
+        mixed = len({f.arity for f in fs}) > 1
+        seen.add(("cut", want[1] is not None))
+        seen.add(("found", bool(want[0])))
+        seen.add(("members", len(fs)))
+        seen.add(("mixed arity, wider first", mixed and k == 2))
+        seen.add(("mixed arity, narrower first", mixed and k == 1))
+        seen.add(("route", route))
+    assert {("cut", True), ("cut", False), ("found", True), ("found", False),
+            ("members", 1), ("members", 2), ("members", 3),
+            ("mixed arity, wider first", True),
+            ("mixed arity, narrower first", True),
+            ("route", "order"), ("route", "box"),
+            ("route", "filtered")} <= seen
+
+
+def test_mixed_arity_systems_have_no_value():
+    # a member whose arity differs from the first member's is undefined
+    # at every point of the scan, in either order
+    narrow, wide = parse_function("x+1"), parse_function("x*y+1")
+    for fs in ((narrow, wide), (wide, narrow)):
+        k = fs[0].arity
+        assert _kernel(fs, iter_points(k, 30), lambda v: True,
+                       DEFAULT_CONFIG) == ([], None)
+        assert check_system_conditions(fs, 5, 50).status is Status.UNKNOWN
+        assert find_zm_witness(fs, 7) == (None, True)
+
+
+def _recursive_shell(k, n, prefix=(), has_n=False):
+    """The points of max-norm n in lexicographic order, each once, by
+    recursion over the components."""
+    if len(prefix) == k:
+        if has_n:
+            yield prefix
+        return
+    last = len(prefix) == k - 1
+    for v in range(1, n + 1):
+        if v == n:
+            yield from _recursive_shell(k, n, prefix + (v,), True)
+        elif has_n or not last:
+            yield from _recursive_shell(k, n, prefix + (v,), has_n)
+
+
+def test_iter_points_keeps_the_workbench_order():
+    for k, limit in ((1, 1000), (2, 60), (3, 14), (4, 7)):
+        want = ([(n,) for n in range(1, limit + 1)] if k == 1 else
+                [p for n in range(1, limit + 1)
+                 for p in _recursive_shell(k, n)])
+        assert list(iter_points(k, limit)) == want
+    assert list(iter_points(2, 0)) == []
+    assert list(iter_points(0, 5)) == list(_recursive_shell(0, 5)) == []
