@@ -712,8 +712,8 @@ def test_scan_kernel_matches_the_evaluate_loop():
         members = [_shape(rng, rng.choice(KERNEL_SHAPES))[0]
                    for _ in range(rng.randint(1, 3))]
         if rng.random() < 0.3:  # one arity for all, as parse_system gives
-            k = members[0].arity
-            members = [NtFunction(max(k, f.arity), f.body) for f in members]
+            k = max(f.arity for f in members)
+            members = [NtFunction(k, f.body) for f in members]
         fs = tuple(members)
         k = fs[0].arity
         route, points = _kernel_points(rng, k, rng.choice((40, 150, 400)))
