@@ -9,7 +9,9 @@ Each function is analysed once.  The normal form, the dense
 coefficients, the c*b^x + d shape and the classify profile (one per
 function, whatever the config) are built lazily and cached on the
 NtFunction instance itself, so a cache lives exactly as long as its
-function.  The public readers hand out fresh dicts and lists, never
+function.  density keeps its per-prime tables there too: a member's
+roots mod p, and, on a system's first member, the system's root
+counter and Bateman-Horn terms.  The public readers hand out fresh dicts and lists, never
 the cached objects.
 
 The workbench scan order (iter_points) lives here too, with the one
@@ -101,7 +103,8 @@ def _magnitude(node: Node) -> Node:
 class _Analysis:
     """What is known about one function, filled in on first use."""
 
-    __slots__ = ("nf", "coeffs", "shape", "profile", "exceeds", "magnitude")
+    __slots__ = ("nf", "coeffs", "shape", "profile", "exceeds", "magnitude",
+                 "roots", "systems")
 
     def __init__(self, f: NtFunction):
         self.nf = _normal_form(f.body, f.arity)
@@ -115,6 +118,11 @@ class _Analysis:
         # exceeds_one_from per config; per-m envelopes are not kept
         self.exceeds: dict[WorkbenchConfig, tuple[int, bool] | None] = {}
         self.magnitude: NtFunction | None = None  # see _within_budget
+        # density's tables: this member's roots mod p (density._Roots),
+        # and the records of the systems it leads, keyed by the members'
+        # coefficients (density._System)
+        self.roots = None
+        self.systems: dict = {}
 
 
 def _analysis(f: NtFunction) -> _Analysis:

@@ -7,14 +7,22 @@ is always reported with its cutoff and a convergence indicator, and
 accumulation runs over exactly-summed logs in ascending prime order so
 results are bit-stable regardless of chunking.
 
-The system is analysed once per constant: its members are validated
-and multiplied out a single time, and one bulk root counter,
-omegas(primes) -> [omega(p), ...], serves every prime up to the cutoff
-in one call.  The primes come from the sieve's retained table, so they
-are not tested for primality again; only the public omega_p, which
-takes an arbitrary p, checks it.  The terms log(1 - omega(p)/p) -
-s log(1 - 1/p) are built in one pass and the snapshot at cutoff/10 is
-found by bisection.
+Each system is analysed once, not once per query.  Its record
+(_System), kept on its first member's analysis and keyed by the
+members' coefficients, holds one bulk root counter, omegas(primes) ->
+[omega(p), ...], the fixed divisor of the product, and the terms
+log(1 - omega(p)/p) - s log(1 - 1/p) as one array('d'), 8 bytes a
+prime, aligned with the sieve's prime table up to the largest cutoff
+asked so far.  A constant is the obstruction check and one exact fsum
+over a prefix of the terms, one more for the snapshot at cutoff/10
+(found by bisection); only primes past the kept prefix are counted,
+each term is the same expression on the same floats, and fsum is
+exact, so a constant does not depend on the order of the queries.
+sieve_primes still runs on every query, with its memory check under
+the caller's config.  The primes come from the sieve's retained table,
+so they are not tested for primality again; only the public omega_p,
+which takes an arbitrary p, checks it.  The tables live as long as the
+member that holds them.
 
 The counter forms E = 2 * lc(P) * Res(P, P') once, the resultant of the
 product P and its derivative taken exactly by Bareiss elimination.  For
@@ -43,19 +51,24 @@ bound B (from m, a bound on the values and the degrees: up to the
 square root of the largest value, at most m for degree <= 2 and
 10 * sqrt(m) from degree 3), one bytearray over n in [1, m] strikes
 every n = r (mod p) for each prime p <= B and each root r of a member
-mod p.  Only n below X are evaluated exactly, where X is the largest
-of the members' thresholds envelope_outside_bound(f_i, B + 1); for a
-member with no monotone envelope that is the lesser of its Cauchy
-bound, which grows like B, and its Fujiwara bound, about
-2 (B/|lc|)^(1/d).  Past X every value exceeds B, so p | f_i(n) makes
-f_i(n) composite (and a member below 1 there ends the count at X).  A surviving n is counted
-at once when (B + 1)^2 exceeds every value, and otherwise tested by
-Horner and is_prime.  The bytearray and the prime flags need about
-m + B bytes (m + the largest value when that is at most 10^7, the
-flags ceiling: the flags then test every exact value too), checked against
-config.sieve_memory_cap before either is built.  The polynomial
-helpers (roots mod p, the binomial closed form, the gcd route, the
-resultant, the root bounds) live in poly.
+mod p.  Each member keeps its roots (_Roots, on its analysis) as pairs
+(p, r) in two flat array('I')s, 8 bytes a root, solved by roots_mod
+only past the largest B asked so far; a prime at which every residue
+is a root is kept as one number, and it strikes every n >= X.  Only n
+below X are evaluated exactly, where X is the largest of the members'
+thresholds envelope_outside_bound(f_i, B + 1); for a member with no
+monotone envelope that is the lesser of its Cauchy bound, which grows
+like B, and its Fujiwara bound, about 2 (B/|lc|)^(1/d).  Past X every
+value exceeds B, so p | f_i(n) makes f_i(n) composite (and a member
+below 1 there ends the count at X).  A surviving n is counted at once
+when (B + 1)^2 exceeds every value, and otherwise tested by Horner and
+is_prime.  The bytearray and the prime flags need about m + B bytes
+(m + the largest value when that is at most 10^7, the flags ceiling:
+the flags then test every exact value too), checked against
+config.sieve_memory_cap on every call before either is built; the kept
+roots and terms are not charged to it.  The polynomial helpers (roots
+mod p, the binomial closed form, the gcd route, the resultant, the root
+bounds) live in poly.
 
 least_prime_ap reads the progressions off one table of prime flags
 up to k * ceil(ln k)^2, past the least primes of every progression
@@ -70,6 +83,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+from array import array
 from dataclasses import dataclass
 
 from .analysis import (_analysis, _Scan, envelope_outside_bound, iter_points,
@@ -139,21 +153,86 @@ def _root_counter(coeff_lists: list[list[int]]):
     return omegas
 
 
-def omega_p(fs: FunctionSystem, p: int,
-            config: WorkbenchConfig = DEFAULT_CONFIG) -> int:
-    """Roots of f_1(x)*...*f_s(x) mod p among 0..p-1, exactly."""
-    coeff_lists = [univariate_coeffs(f) for f in fs]
-    if not is_prime(p, config):
-        raise InvalidArgument(f"{p} is not prime")
-    return _root_counter(coeff_lists)([p])[0]
-
-
 @dataclass(frozen=True)
 class BhConstant:
     value: float
     cutoff: int
     relative_change: float  # |C(P) - C(P/10)| / C(P), 0 when C = 0
     obstruction: int | None  # prime with omega(p) = p, forcing C = 0
+
+
+class _System:
+    """What one system needs per prime, built once and kept on its first
+    member's analysis: the bulk root counter, the fixed divisor of the
+    product P, and one term log(1 - omega(p)/p) - s log(1 - 1/p) per
+    prime, in the order of the prime table, for every prime up to the
+    largest cutoff asked so far without an obstruction."""
+
+    __slots__ = ("s", "omegas", "fixed_divisor", "terms")
+
+    def __init__(self, coeff_lists: list[list[int]]):
+        self.s = len(coeff_lists)
+        self.omegas = _root_counter(coeff_lists)
+        product = _product_coeffs(coeff_lists)
+        self.fixed_divisor = _fixed_divisor(
+            {(i,): c for i, c in enumerate(product) if c})
+        self.terms = array("d")
+
+    def obstruction(self, primes: list[int]) -> int | None:
+        """The least p in primes with omega(p) = p: the least prime
+        factor of the fixed divisor of P, since p divides every value of
+        P exactly when P vanishes at every residue mod p."""
+        fd = self.fixed_divisor
+        if fd == 1:
+            return None
+        return next((p for p in primes if fd % p == 0), None)
+
+    def constant(self, prime_cutoff: int,
+                 config: WorkbenchConfig) -> BhConstant:
+        # the sieve runs, with its memory check, whatever is kept
+        primes = sieve_primes(prime_cutoff, config)
+        obstruction = self.obstruction(primes)
+        if obstruction is not None:
+            return BhConstant(0.0, prime_cutoff, 0.0, obstruction)
+        terms, k = self.terms, len(primes)
+        if len(terms) < k:
+            new = primes[len(terms):]
+            s, log1p = self.s, math.log1p
+            terms.extend(log1p(-w / p) - s * log1p(-1.0 / p)
+                         for p, w in zip(new, self.omegas(new)))
+        value = math.exp(math.fsum(terms[:k]))
+        snapshot_terms = bisect.bisect_right(primes, prime_cutoff // 10)
+        if snapshot_terms and snapshot_terms < k and value:
+            earlier = math.exp(math.fsum(terms[:snapshot_terms]))
+            rel = abs(value - earlier) / value
+        else:
+            rel = 0.0
+        return BhConstant(value, prime_cutoff, rel, None)
+
+
+def _system(fs: FunctionSystem) -> _System:
+    """The system's record, built on first use.  It is keyed by the
+    members' coefficients on the first member's analysis, so it holds no
+    other function and is freed with that member.  A member that is not
+    a univariate polynomial raises NotUnivariatePolynomial."""
+    coeff_lists = [univariate_coeffs(f) for f in fs]
+    if not fs:
+        return _System(coeff_lists)
+    records = _analysis(fs[0]).systems
+    key = tuple(map(tuple, coeff_lists))
+    record = records.get(key)
+    if record is None:
+        record = records[key] = _System(coeff_lists)
+    return record
+
+
+def omega_p(fs: FunctionSystem, p: int,
+            config: WorkbenchConfig = DEFAULT_CONFIG) -> int:
+    """Roots of f_1(x)*...*f_s(x) mod p among 0..p-1, exactly."""
+    system = _system(fs)
+    if not is_prime(p, config):
+        raise InvalidArgument(f"{p} is not prime")
+    return system.omegas([p])[0]
 
 
 def bateman_horn_constant(fs: FunctionSystem, prime_cutoff: int,
@@ -163,40 +242,7 @@ def bateman_horn_constant(fs: FunctionSystem, prime_cutoff: int,
     A prime with omega(p) = p is a divisibility obstruction: the system
     can produce at most finitely many primes and C is reported as 0,
     flagged, rather than raised."""
-    coeff_lists = [univariate_coeffs(f) for f in fs]
-    return _bh_constant(coeff_lists, _root_counter(coeff_lists),
-                        prime_cutoff, config)
-
-
-def _obstruction(coeff_lists: list[list[int]], primes: list[int]) -> int | None:
-    """The least p in primes with omega(p) = p: the least prime factor
-    of the fixed divisor of the product P, since p divides every value
-    of P exactly when P vanishes at every residue mod p."""
-    product = _product_coeffs(coeff_lists)
-    fd = _fixed_divisor({(i,): c for i, c in enumerate(product) if c})
-    if fd == 1:
-        return None
-    return next((p for p in primes if fd % p == 0), None)
-
-
-def _bh_constant(coeff_lists: list[list[int]], omegas, prime_cutoff: int,
-                 config: WorkbenchConfig) -> BhConstant:
-    primes = sieve_primes(prime_cutoff, config)
-    obstruction = _obstruction(coeff_lists, primes)
-    if obstruction is not None:
-        return BhConstant(0.0, prime_cutoff, 0.0, obstruction)
-    s = len(coeff_lists)
-    log1p = math.log1p
-    terms = [log1p(-w / p) - s * log1p(-1.0 / p)
-             for p, w in zip(primes, omegas(primes))]
-    value = math.exp(math.fsum(terms))
-    snapshot_terms = bisect.bisect_right(primes, prime_cutoff // 10)
-    if snapshot_terms and snapshot_terms < len(terms) and value:
-        earlier = math.exp(math.fsum(terms[:snapshot_terms]))
-        rel = abs(value - earlier) / value
-    else:
-        rel = 0.0
-    return BhConstant(value, prime_cutoff, rel, None)
+    return _system(fs).constant(prime_cutoff, config)
 
 
 @dataclass(frozen=True)
@@ -235,6 +281,45 @@ def _prediction(degrees: list[int], m: int, c: float) -> PredictedCount:
     scale = c / math.prod(degrees)
     total = math.fsum(math.log(n) ** -s for n in range(2, m + 1))
     return PredictedCount(m, c, scale * total, scale * m / math.log(m) ** s)
+
+
+class _Roots:
+    """One member's roots mod every prime up to `limit`, for the sieve of
+    actual_count: a pair (p, r) per root, in ascending p and then r, as
+    two flat array('I')s, 8 bytes a root.  A prime at which every
+    residue is a root (the member vanishes mod p, or is x^p - x there)
+    is kept as `full`, the least such prime, in place of its p roots,
+    and the table grows no further past it."""
+
+    __slots__ = ("limit", "primes", "roots", "full")
+
+    def __init__(self):
+        self.limit = 1
+        self.primes = array("I")
+        self.roots = array("I")
+        self.full: int | None = None
+
+
+def _roots(f: NtFunction, cs: list[int], flags: bytearray,
+           bound: int) -> _Roots:
+    """f's root table, kept on its analysis and grown to cover every
+    prime p <= bound (flags marks the primes to at least bound): only
+    the primes past its limit are solved, by roots_mod."""
+    a = _analysis(f)
+    if a.roots is None:
+        a.roots = _Roots()
+    table = a.roots
+    if bound > table.limit and table.full is None:
+        lo = table.limit + 1
+        for p in itertools.compress(range(lo, bound + 1), flags[lo:bound + 1]):
+            rs = roots_mod(cs, p)
+            if len(rs) == p:
+                table.full = table.limit = p
+                return table
+            table.primes.extend([p] * len(rs))
+            table.roots.extend(rs)
+        table.limit = bound
+    return table
 
 
 def actual_count(fs: FunctionSystem, m: int,
@@ -300,11 +385,14 @@ def actual_count(fs: FunctionSystem, m: int,
         return count
     alive = bytearray([1]) * (m + 1)
     alive[:start] = bytes(start)
-    for p in itertools.compress(range(bound + 1), flags):
-        for cs in coeff_lists:
-            for r in roots_mod(cs, p):
-                first = start + (r - start) % p
-                alive[first::p] = bytes(len(range(first, m + 1, p)))
+    for f, cs in zip(fs, coeff_lists):
+        table = _roots(f, cs, flags, bound)
+        if table.full is not None and table.full <= bound:
+            return count  # every n >= start is struck
+        pairs = bisect.bisect_right(table.primes, bound)
+        for p, r in itertools.islice(zip(table.primes, table.roots), pairs):
+            first = start + (r - start) % p
+            alive[first::p] = bytes(len(range(first, m + 1, p)))
     if (bound + 1) ** 2 > top:
         return count + alive.count(1)
     return count + sum(
@@ -440,11 +528,10 @@ def density_estimate(fs: FunctionSystem, prime_cutoff: int, m: int,
     refused before anything is computed, rather than a constant read as
     a fixed prime divisor."""
     degrees = _prediction_degrees(fs, m)
-    coeff_lists = [univariate_coeffs(f) for f in fs]
-    omegas = _root_counter(coeff_lists)
-    bh = _bh_constant(coeff_lists, omegas, prime_cutoff, config)
+    system = _system(fs)
+    bh = system.constant(prime_cutoff, config)
     small = sieve_primes(100, config)
-    sample = tuple(zip(small, omegas(small)))
+    sample = tuple(zip(small, system.omegas(small)))
     # counted first: its memory check ends a huge m before the sum over m
     actual = actual_count(fs, m, config)
     if bh.obstruction is None:

@@ -1,23 +1,27 @@
 """Density constants, predicted versus actual prime counts, progressions."""
 
+import bisect
 import itertools
 import math
 import random
 
 import pytest
 
-from primework.analysis import univariate_coeffs
-from primework.arith import euler_phi, is_prime, sieve_primes
+from primework.analysis import (_analysis, envelope_outside_bound,
+                                univariate_coeffs)
+from primework.arith import euler_phi, is_prime, prime_flags, sieve_primes
 from primework.config import DEFAULT_CONFIG
-from primework.density import (_obstruction, _root_counter, actual_count,
-                               ap_product_inequality, bateman_horn_constant,
-                               density_estimate, dlvp_ratio, least_prime_ap,
-                               omega_p, predicted_count)
+from primework.density import (BhConstant, DensityEstimate, _root_counter,
+                               _System, actual_count, ap_product_inequality,
+                               bateman_horn_constant, density_estimate,
+                               dlvp_ratio, least_prime_ap, omega_p,
+                               predicted_count)
 from primework.errors import (EvaluationBudgetExceeded, InvalidArgument,
                               MemoryBudgetExceeded, NotCoprime,
                               NotUnivariatePolynomial)
 from primework.expr import parse_function, parse_system
-from primework.poly import _bareiss_det, _sylvester
+from primework.poly import (_bareiss_det, _fixed_divisor, _horner,
+                            _product_coeffs, _sylvester, roots_mod)
 
 
 def test_omega_twin_system():
@@ -289,7 +293,7 @@ def test_root_counter_matches_brute_force_below_3000():
         assert _root_counter(coeff_lists)(shuffled) \
             == [by_prime[p] for p in shuffled], coeff_lists
         # the obstruction is read off the fixed divisor, not the counts
-        assert _obstruction(coeff_lists, primes) == next(
+        assert _System(coeff_lists).obstruction(primes) == next(
             (p for p, w in zip(primes, brute) if w == p), None), coeff_lists
 
 
@@ -530,3 +534,219 @@ def test_dlvp_ratio_keeps_the_sieve_memory_guard():
         sieve_primes(10**6, tight)
     with pytest.raises(MemoryBudgetExceeded):
         actual_count(parse_system("x^2+1"), 10**6, tight)
+
+
+# --- the tables kept per system and per member ------------------------------
+
+def _per_query_constant(fs, prime_cutoff):
+    """The constant as it was computed before the terms were kept: the
+    system analysed again and every term built again, on every call."""
+    coeff_lists = [univariate_coeffs(f) for f in fs]
+    omegas = _root_counter(coeff_lists)
+    primes = sieve_primes(prime_cutoff)
+    product = _product_coeffs(coeff_lists)
+    fd = _fixed_divisor({(i,): c for i, c in enumerate(product) if c})
+    obstruction = (None if fd == 1
+                   else next((p for p in primes if fd % p == 0), None))
+    if obstruction is not None:
+        return BhConstant(0.0, prime_cutoff, 0.0, obstruction)
+    s = len(coeff_lists)
+    terms = [math.log1p(-w / p) - s * math.log1p(-1.0 / p)
+             for p, w in zip(primes, omegas(primes))]
+    value = math.exp(math.fsum(terms))
+    snapshot_terms = bisect.bisect_right(primes, prime_cutoff // 10)
+    if snapshot_terms and snapshot_terms < len(terms) and value:
+        earlier = math.exp(math.fsum(terms[:snapshot_terms]))
+        rel = abs(value - earlier) / value
+    else:
+        rel = 0.0
+    return BhConstant(value, prime_cutoff, rel, None)
+
+
+def _per_query_count(fs, m, config=DEFAULT_CONFIG):
+    """actual_count as it was before the roots were kept: roots_mod for
+    every member and every prime p <= B, on every call."""
+    from primework import density
+    if m < 1:
+        return 0
+    members = []
+    for f in fs:
+        cs = _analysis(f).coeffs
+        if (cs is not None and len(cs) == 1
+                and cs[0].bit_length() <= config.bit_budget):
+            if not is_prime(cs[0], config):
+                return 0
+        else:
+            members.append((f, cs))
+    if not members:
+        return m
+    fs = [f for f, _ in members]
+    coeff_lists = [cs for _, cs in members]
+    top = None
+    if all(cs is not None for cs in coeff_lists):
+        top = max(sum(abs(c) * m**i for i, c in enumerate(cs))
+                  for cs in coeff_lists)
+    if top is None or top.bit_length() > config.bit_budget:
+        bound, table, start, above = 1, 1, m + 1, False
+    else:
+        degree = max(len(cs) for cs in coeff_lists) - 1
+        cap = m if degree <= 2 else 10 * math.isqrt(m)
+        bound = max(1, min(math.isqrt(top), cap))
+        table = top if top <= density._FLAGS_CEILING else bound
+        start, above = 1, True
+        for f in fs:
+            env = envelope_outside_bound(f, bound + 1, config)
+            if env is None:
+                start = m + 1
+                continue
+            start, above = max(start, env[0]), above and env[1]
+    flags = prime_flags(table, config)
+
+    def prime(n):
+        return flags[n] if n < len(flags) else is_prime(n, config)
+    count = sum(1 for n in range(1, min(start, m + 1))
+                if all(_horner(cs, n) >= 2 and prime(_horner(cs, n))
+                       for cs in coeff_lists))
+    if not above or start > m:
+        return count
+    alive = bytearray([1]) * (m + 1)
+    alive[:start] = bytes(start)
+    for p in itertools.compress(range(bound + 1), flags):
+        for cs in coeff_lists:
+            for r in roots_mod(cs, p):
+                first = start + (r - start) % p
+                alive[first::p] = bytes(len(range(first, m + 1, p)))
+    if (bound + 1) ** 2 > top:
+        return count + alive.count(1)
+    return count + sum(
+        1 for n in itertools.compress(range(m + 1), alive)
+        if all(is_prime(_horner(cs, n), config) for cs in coeff_lists))
+
+
+def _per_query_estimate(fs, prime_cutoff, m):
+    coeff_lists = [univariate_coeffs(f) for f in fs]
+    bh = _per_query_constant(fs, prime_cutoff)
+    small = sieve_primes(100)
+    predicted = (0.0, 0.0)
+    if bh.obstruction is None:
+        pred = predicted_count(fs, m, prime_cutoff)
+        predicted = (pred.sum_form, pred.closed_form)
+    return DensityEstimate(
+        tuple(str(f) for f in fs), tuple(len(cs) - 1 for cs in coeff_lists),
+        prime_cutoff, bh.value, bh.relative_change, bh.obstruction,
+        tuple(zip(small, _root_counter(coeff_lists)(small))), m, *predicted,
+        _per_query_count(fs, m))
+
+
+def _retained_systems():
+    rng = random.Random(20261021)
+    texts = []
+    for _ in range(3):  # linear members
+        texts.append("; ".join(f"{rng.randint(1, 12)}*x+({rng.randint(-20, 40)})"
+                               for _ in range(rng.randint(1, 3))))
+    for _ in range(3):  # quadratics, one next to a linear member
+        texts.append(f"{rng.randint(1, 5)}*x^2+({rng.randint(-9, 9)})*x"
+                     f"+{rng.randint(1, 60)}")
+    texts[-1] += "; 2*x+1"
+    for _ in range(3):  # binomials a*x^d + b*x^k
+        d, k = rng.randint(3, 7), rng.randint(0, 1)
+        texts.append(f"{rng.randint(1, 4)}*x^{d}+{rng.randint(1, 30)}*x^{k}")
+    texts += ["7*x^5+3*x+1",   # no closed form: the gcd route
+              "x^2+x; x+1",    # E = 0 (a repeated factor), obstructed at 2
+              "x; x",          # E = 0 and no obstruction
+              "x^3-x+3",       # obstructed at 3
+              "6*x+3; x"]      # zero mod 3: every residue a root
+    return texts
+
+
+_CUTOFFS = (3000, 20000, 500, 20000, 7, 0, 3001, 12000, 50, 3000)
+# x^3-x+3 at m = 2 sieves to B = 3, where every residue is a root
+_LIMITS = (2000, 300, 6000, 1, 0, 6000, 17, 4000, 2, 2000)
+
+
+def test_retained_tables_answer_as_the_per_query_path():
+    # each system is parsed once and asked at cutoffs and limits that
+    # rise, fall and repeat; a fresh parse with the per-query routines
+    # above is the reference
+    for text in _retained_systems():
+        fs = parse_system(text)
+        for cutoff, m in zip(_CUTOFFS, _LIMITS):
+            fresh = parse_system(text)
+            assert repr(bateman_horn_constant(fs, cutoff)) \
+                == repr(_per_query_constant(fresh, cutoff)), (text, cutoff)
+            assert actual_count(fs, m) == _per_query_count(fresh, m), \
+                (text, m)
+            coeff_lists = [univariate_coeffs(f) for f in fresh]
+            for p in (2, 3, 5, 101, 7919):
+                assert omega_p(fs, p) == _root_counter(coeff_lists)([p])[0]
+            if m >= 2:
+                assert repr(density_estimate(fs, cutoff, m)) \
+                    == repr(_per_query_estimate(fresh, cutoff, m)), \
+                    (text, cutoff, m)
+
+
+def test_bh_reference_replayed_on_one_parse_per_system():
+    by_system = {}
+    for (text, cutoff), expected in BH_REFERENCE.items():
+        by_system.setdefault(text, []).append((cutoff, expected))
+    for text, cases in by_system.items():
+        fs = parse_system(text)
+        for cutoff, (value, rel, obstruction) in sorted(cases, reverse=True):
+            bh = bateman_horn_constant(fs, cutoff)
+            assert (repr(bh.value), repr(bh.relative_change),
+                    bh.obstruction) == (value, rel, obstruction), \
+                (text, cutoff)
+
+
+def test_a_smaller_cutoff_computes_no_omega(monkeypatch):
+    from primework import density
+    built, asked = [], []
+
+    def counting(coeff_lists):
+        omegas = _root_counter(coeff_lists)
+        built.append(coeff_lists)
+
+        def wrapped(primes):
+            asked.extend(primes)
+            return omegas(primes)
+        return wrapped
+    monkeypatch.setattr(density, "_root_counter", counting)
+    fs = parse_system("x; x+2")
+    first = bateman_horn_constant(fs, 20000)
+    assert asked == sieve_primes(20000)
+    for cutoff in (20000, 3000, 2, 0):
+        bateman_horn_constant(fs, cutoff)
+    assert repr(bateman_horn_constant(fs, 20000)) == repr(first)
+    assert len(asked) == len(sieve_primes(20000)) and len(built) == 1
+    # past the kept prefix only the new primes are counted
+    bateman_horn_constant(fs, 30000)
+    assert asked == sieve_primes(30000)
+    # density_estimate builds its counter once, and not again
+    fs = parse_system("x^2+1")
+    built.clear()
+    density_estimate(fs, 3000, 500)
+    density_estimate(fs, 2000, 400)
+    omega_p(fs, 13)
+    assert len(built) == 1
+
+
+def test_kept_tables_never_get_round_the_memory_cap():
+    # warmed under the default cap, every query still checks its own
+    # tables against the caller's cap
+    fs = parse_system("x^2+1")
+    bateman_horn_constant(fs, 50000)
+    actual_count(fs, 10**4)
+    density_estimate(fs, 50000, 10**4)
+    tight = DEFAULT_CONFIG.with_overrides(sieve_memory_cap=10**4)
+    for cutoff in (50000, 3000):
+        with pytest.raises(MemoryBudgetExceeded):
+            bateman_horn_constant(fs, cutoff, tight)
+        with pytest.raises(MemoryBudgetExceeded):
+            density_estimate(fs, cutoff, 100, tight)
+    for m in (10**4, 2000):
+        with pytest.raises(MemoryBudgetExceeded):
+            actual_count(fs, m, tight)
+    # and what fits the cap is still answered from the tables
+    assert repr(bateman_horn_constant(fs, 100, tight)) \
+        == repr(_per_query_constant(parse_system("x^2+1"), 100))
+    assert actual_count(fs, 40, tight) == _plain_counts(fs, 40)[40]
