@@ -7,22 +7,28 @@ is always reported with its cutoff and a convergence indicator, and
 accumulation runs over exactly-summed logs in ascending prime order so
 results are bit-stable regardless of chunking.
 
-Each system is analysed once, not once per query.  Its record
-(_System), kept on its first member's analysis and keyed by the
-members' coefficients, holds one bulk root counter, omegas(primes) ->
-[omega(p), ...], the fixed divisor of the product, and the terms
+Each system is analysed once, not once per query: what pays back is one
+parsed system asked again and again.  Its record (_System), kept on its
+first member's analysis and keyed by the members' coefficients, holds
+one bulk root counter, omegas(primes) -> [omega(p), ...], the fixed
+divisor of the product (on its first constant), and the terms
 log(1 - omega(p)/p) - s log(1 - 1/p) as one array('d'), 8 bytes a
 prime, aligned with the sieve's prime table up to the largest cutoff
 asked so far.  A constant is the obstruction check and one exact fsum
 over a prefix of the terms, one more for the snapshot at cutoff/10
 (found by bisection); only primes past the kept prefix are counted,
-each term is the same expression on the same floats, and fsum is
-exact, so a constant does not depend on the order of the queries.
-sieve_primes still runs on every query, with its memory check under
-the caller's config.  The primes come from the sieve's retained table,
-so they are not tested for primality again; only the public omega_p,
-which takes an arbitrary p, checks it.  The tables live as long as the
-member that holds them.
+each term is the same expression on the same floats, and fsum is exact,
+so a constant does not depend on the order of the queries.
+sieve_primes still runs on every query, with its memory check under the
+caller's config, and charges 48 bytes a prime, so the kept terms (8
+bytes a prime once packed, 32 as a first constant's list) take at most
+two thirds of what the call that kept them was charged.  The primes
+come from the sieve's retained table, so they are not tested for
+primality again; only the public omega_p, which takes an arbitrary p,
+checks it.  The tables live as long as the member that holds them.  A
+system asked only once pays nothing for them: a first constant keeps
+the list of terms it has built, packed into the array when the system
+is asked again, and a member's roots are kept from its second count on.
 
 The counter forms E = 2 * lc(P) * Res(P, P') once, the resultant of the
 product P and its derivative taken exactly by Bareiss elimination.  For
@@ -53,22 +59,24 @@ square root of the largest value, at most m for degree <= 2 and
 every n = r (mod p) for each prime p <= B and each root r of a member
 mod p.  Each member keeps its roots (_Roots, on its analysis) as pairs
 (p, r) in two flat array('I')s, 8 bytes a root, solved by roots_mod
-only past the largest B asked so far; a prime at which every residue
-is a root is kept as one number, and it strikes every n >= X.  Only n
-below X are evaluated exactly, where X is the largest of the members'
-thresholds envelope_outside_bound(f_i, B + 1); for a member with no
-monotone envelope that is the lesser of its Cauchy bound, which grows
-like B, and its Fujiwara bound, about 2 (B/|lc|)^(1/d).  Past X every
-value exceeds B, so p | f_i(n) makes f_i(n) composite (and a member
-below 1 there ends the count at X).  A surviving n is counted at once
-when (B + 1)^2 exceeds every value, and otherwise tested by Horner and
-is_prime.  The bytearray and the prime flags need about m + B bytes
-(m + the largest value when that is at most 10^7, the flags ceiling:
-the flags then test every exact value too), checked against
-config.sieve_memory_cap on every call before either is built; the kept
-roots and terms are not charged to it.  The polynomial helpers (roots
-mod p, the binomial closed form, the gcd route, the resultant, the root
-bounds) live in poly.
+only past the largest B asked so far, and kept from its second count
+on.  Only n below X are evaluated exactly, where X is the largest of
+the members' thresholds envelope_outside_bound(f_i, B + 1); for a
+member with no monotone envelope that is the lesser of its Cauchy
+bound, which grows like B, and its Fujiwara bound, about
+2 (B/|lc|)^(1/d).  Past X every value exceeds B, so p | f_i(n) makes
+f_i(n) composite (and a member below 1 there ends the count at X).  A
+surviving n is counted at once when (B + 1)^2 exceeds every value, and
+otherwise tested by Horner and is_prime.  The bytearray and the prime
+flags need about m + B bytes (m + the largest value when that is at
+most 10^7, the flags ceiling: the flags then test every exact value
+too), checked against config.sieve_memory_cap on every call before
+either is built.  New roots are kept only while the kept roots of the
+system's members and those tables together stay under the cap; past
+that they are struck and dropped.  A root table is never changed but
+replaced whole, so a growth cut short leaves the one before it.  The
+polynomial helpers (roots mod p, the binomial closed form, the gcd
+route, the resultant, the root bounds) live in poly.
 
 least_prime_ap reads the progressions off one table of prime flags
 up to k * ceil(ln k)^2, past the least primes of every progression
@@ -164,24 +172,27 @@ class BhConstant:
 class _System:
     """What one system needs per prime, built once and kept on its first
     member's analysis: the bulk root counter, the fixed divisor of the
-    product P, and one term log(1 - omega(p)/p) - s log(1 - 1/p) per
-    prime, in the order of the prime table, for every prime up to the
-    largest cutoff asked so far without an obstruction."""
+    product P (on the first constant), and one term
+    log(1 - omega(p)/p) - s log(1 - 1/p) per prime, in the order of the
+    prime table, for every prime up to the largest cutoff asked so far
+    without an obstruction."""
 
-    __slots__ = ("s", "omegas", "fixed_divisor", "terms")
+    __slots__ = ("coeff_lists", "omegas", "fixed_divisor", "terms")
 
     def __init__(self, coeff_lists: list[list[int]]):
-        self.s = len(coeff_lists)
+        self.coeff_lists = coeff_lists
         self.omegas = _root_counter(coeff_lists)
-        product = _product_coeffs(coeff_lists)
-        self.fixed_divisor = _fixed_divisor(
-            {(i,): c for i, c in enumerate(product) if c})
-        self.terms = array("d")
+        self.fixed_divisor: int | None = None  # on the first constant
+        self.terms: list[float] | array = []
 
     def obstruction(self, primes: list[int]) -> int | None:
         """The least p in primes with omega(p) = p: the least prime
         factor of the fixed divisor of P, since p divides every value of
         P exactly when P vanishes at every residue mod p."""
+        if self.fixed_divisor is None:
+            product = _product_coeffs(self.coeff_lists)
+            self.fixed_divisor = _fixed_divisor(
+                {(i,): c for i, c in enumerate(product) if c})
         fd = self.fixed_divisor
         if fd == 1:
             return None
@@ -195,15 +206,22 @@ class _System:
         if obstruction is not None:
             return BhConstant(0.0, prime_cutoff, 0.0, obstruction)
         terms, k = self.terms, len(primes)
+        if type(terms) is list and terms:  # asked again: 8 bytes a term
+            terms = self.terms = array("d", terms)
         if len(terms) < k:
             new = primes[len(terms):]
-            s, log1p = self.s, math.log1p
-            terms.extend(log1p(-w / p) - s * log1p(-1.0 / p)
-                         for p, w in zip(new, self.omegas(new)))
-        value = math.exp(math.fsum(terms[:k]))
+            s, log1p = len(self.coeff_lists), math.log1p
+            fresh = [log1p(-w / p) - s * log1p(-1.0 / p)
+                     for p, w in zip(new, self.omegas(new))]
+            if terms:
+                terms.fromlist(fresh)
+            else:  # a first constant keeps its list as built, at no cost
+                terms = self.terms = fresh
+        head = terms if len(terms) == k else terms[:k]
+        value = math.exp(math.fsum(head))
         snapshot_terms = bisect.bisect_right(primes, prime_cutoff // 10)
         if snapshot_terms and snapshot_terms < k and value:
-            earlier = math.exp(math.fsum(terms[:snapshot_terms]))
+            earlier = math.exp(math.fsum(head[:snapshot_terms]))
             rel = abs(value - earlier) / value
         else:
             rel = 0.0
@@ -286,40 +304,58 @@ def _prediction(degrees: list[int], m: int, c: float) -> PredictedCount:
 class _Roots:
     """One member's roots mod every prime up to `limit`, for the sieve of
     actual_count: a pair (p, r) per root, in ascending p and then r, as
-    two flat array('I')s, 8 bytes a root.  A prime at which every
-    residue is a root (the member vanishes mod p, or is x^p - x there)
-    is kept as `full`, the least such prime, in place of its p roots,
-    and the table grows no further past it."""
+    two flat array('I')s, 8 bytes a root.  A table is never changed: it
+    is replaced whole when it grows, so a growth cut short leaves the
+    one before it."""
 
-    __slots__ = ("limit", "primes", "roots", "full")
+    __slots__ = ("limit", "primes", "roots")
 
-    def __init__(self):
-        self.limit = 1
-        self.primes = array("I")
-        self.roots = array("I")
-        self.full: int | None = None
+    def __init__(self, limit: int, primes: array, roots: array):
+        self.limit, self.primes, self.roots = limit, primes, roots
 
 
-def _roots(f: NtFunction, cs: list[int], flags: bytearray,
-           bound: int) -> _Roots:
-    """f's root table, kept on its analysis and grown to cover every
-    prime p <= bound (flags marks the primes to at least bound): only
-    the primes past its limit are solved, by roots_mod."""
+_NO_ROOTS = _Roots(1, array("I"), array("I"))
+
+
+def _strike_roots(alive: bytearray, start: int, f: NtFunction,
+                  cs: list[int], flags: bytearray, bound: int,
+                  room: int) -> int:
+    """Clear alive[n] for every n >= start with f(n) = 0 mod p for some
+    prime p <= bound (flags marks the primes to at least bound).  The
+    roots come from f's kept table, and past its limit from roots_mod;
+    from f's second count on, those new roots are kept while the whole
+    table holds at most room bytes.  Returns the bytes of the table left
+    kept."""
+    m = len(alive) - 1
     a = _analysis(f)
-    if a.roots is None:
-        a.roots = _Roots()
-    table = a.roots
-    if bound > table.limit and table.full is None:
-        lo = table.limit + 1
+    kept = a.roots or _NO_ROOTS
+    pairs = bisect.bisect_right(kept.primes, bound)
+    for p, r in itertools.islice(zip(kept.primes, kept.roots), pairs):
+        first = start + (r - start) % p
+        alive[first::p] = bytes(len(range(first, m + 1, p)))
+    if bound > kept.limit:
+        new_primes, new_roots = array("I"), array("I")
+        lo = kept.limit + 1
+        # roots that may still be kept; a first count keeps none, so a
+        # member counted once costs only the solving and striking
+        spare = room // 8 - len(kept.roots) if a.roots else -1
+        limit = bound if spare >= 0 else kept.limit
         for p in itertools.compress(range(lo, bound + 1), flags[lo:bound + 1]):
             rs = roots_mod(cs, p)
-            if len(rs) == p:
-                table.full = table.limit = p
-                return table
-            table.primes.extend([p] * len(rs))
-            table.roots.extend(rs)
-        table.limit = bound
-    return table
+            for r in rs:
+                first = start + (r - start) % p
+                alive[first::p] = bytes(len(range(first, m + 1, p)))
+            if len(rs) <= spare:
+                new_primes.extend([p] * len(rs))
+                new_roots.extend(rs)
+                spare -= len(rs)
+            elif spare >= 0:  # keep no prime from here on
+                limit, spare = p - 1, -1
+        if limit > kept.limit:
+            kept = _Roots(limit, kept.primes + new_primes,
+                          kept.roots + new_roots)
+    a.roots = kept
+    return 8 * len(kept.roots)
 
 
 def actual_count(fs: FunctionSystem, m: int,
@@ -385,14 +421,10 @@ def actual_count(fs: FunctionSystem, m: int,
         return count
     alive = bytearray([1]) * (m + 1)
     alive[:start] = bytes(start)
+    # the members' kept roots and this call's tables share the cap
+    room = config.sieve_memory_cap - (m + table + 2)
     for f, cs in zip(fs, coeff_lists):
-        table = _roots(f, cs, flags, bound)
-        if table.full is not None and table.full <= bound:
-            return count  # every n >= start is struck
-        pairs = bisect.bisect_right(table.primes, bound)
-        for p, r in itertools.islice(zip(table.primes, table.roots), pairs):
-            first = start + (r - start) % p
-            alive[first::p] = bytes(len(range(first, m + 1, p)))
+        room -= _strike_roots(alive, start, f, cs, flags, bound, room)
     if (bound + 1) ** 2 > top:
         return count + alive.count(1)
     return count + sum(

@@ -750,3 +750,61 @@ def test_kept_tables_never_get_round_the_memory_cap():
     assert repr(bateman_horn_constant(fs, 100, tight)) \
         == repr(_per_query_constant(parse_system("x^2+1"), 100))
     assert actual_count(fs, 40, tight) == _plain_counts(fs, 40)[40]
+
+
+def _kept_root_bytes(fs):
+    return sum(8 * len(a.roots.roots) for a in map(_analysis, fs)
+               if a.roots is not None)
+
+
+def test_kept_roots_stay_within_the_cap_of_the_call_that_keeps_them():
+    # x^2+1 to 10^4 sieves to B = 10^4 with flags to B: m + B + 2 bytes
+    # are charged, and the kept roots may take only what the cap leaves
+    m, need = 10**4, 2 * 10**4 + 2
+    full = _plain_counts(parse_system("x^2+1"), m)
+    # a member counted once keeps no root
+    fs = parse_system("x^2+1")
+    assert actual_count(fs, m) == full[m] and _kept_root_bytes(fs) == 0
+    for spare in (0, 7, 8, 800, 4000):
+        fs = parse_system("x^2+1")
+        tight = DEFAULT_CONFIG.with_overrides(sieve_memory_cap=need + spare)
+        # a first count keeps nothing; the second keeps what fits
+        for _ in range(2):
+            assert actual_count(fs, m, tight) == full[m]
+            assert _kept_root_bytes(fs) <= spare
+        assert (_kept_root_bytes(fs) > 0) == (spare >= 8)
+        # a later call under a larger cap grows the kept prefix
+        assert actual_count(fs, m) == full[m]
+        assert actual_count(fs, m, tight) == full[m]
+    # the members of one system share what is left
+    fs = parse_system("x; x+2; x+6")
+    m = 2000
+    need = m + (m + 6) + 2
+    tight = DEFAULT_CONFIG.with_overrides(sieve_memory_cap=need + 1000)
+    for _ in range(2):
+        assert actual_count(fs, m, tight) == _plain_counts(fs, m)[m]
+    assert 0 < _kept_root_bytes(fs) <= 1000
+
+
+def test_a_growth_cut_short_leaves_the_kept_roots_as_they_were(monkeypatch):
+    from primework import density
+    fs = parse_system("x^2+1")
+    for _ in range(2):  # roots are kept from the second count on
+        assert actual_count(fs, 500) == _plain_counts(fs, 500)[500]
+    before = _analysis(fs[0]).roots
+    assert len(before.roots) > 0
+    kept = (before.limit, before.primes.tolist(), before.roots.tolist())
+
+    def failing(cs, p):
+        if p > 3000:
+            raise KeyboardInterrupt
+        return roots_mod(cs, p)
+    monkeypatch.setattr(density, "roots_mod", failing)
+    with pytest.raises(KeyboardInterrupt):
+        actual_count(fs, 5000)
+    after = _analysis(fs[0]).roots
+    assert (after.limit, after.primes.tolist(), after.roots.tolist()) == kept
+    monkeypatch.setattr(density, "roots_mod", roots_mod)
+    assert actual_count(fs, 5000) == _plain_counts(fs, 5000)[5000]
+    primes = _analysis(fs[0]).roots.primes
+    assert list(primes) == sorted(primes)
