@@ -20,7 +20,9 @@ up to the largest limit asked so far, up to the ceiling 4 * 2^20 of the
 flat sieve; past it sieve_primes runs a segmented sieve and keeps
 nothing.  Each call gets a fresh list cut
 from the table by bisection, so a caller may change it, and the memory
-check runs on every call, also when the table already holds the answer.
+check runs on every call, also when the table already holds the answer;
+prime_view gives a caller that only reads them a read-only view of the
+table instead, under the same check.
 The trial-division primes below 1000, the segmented sieve's base
 primes and the smallest-factor table's primes are read from the same
 table.  Primes are read off a flag table by one regex scan for the
@@ -90,10 +92,10 @@ def _flagged(flags: bytearray, offset: int = 0) -> list[int]:
     return [m.start() + offset for m in re.finditer(b"\x01", flags)]
 
 
-def _table_primes(limit: int) -> list[int]:
-    """The primes <= limit, limit <= _TABLE_CEILING, as a fresh list cut
-    from the retained table, which is first sieved again up to limit
-    when it stops short of it."""
+def _table_view(limit: int) -> memoryview:
+    """The primes <= limit, limit <= _TABLE_CEILING, as a read-only view
+    of the retained table, which is first sieved again up to limit when
+    it stops short of it."""
     global _prime_table, _table_limit
     if limit > _table_limit:
         primes = array("i", _flagged(prime_flags(limit)))
@@ -106,7 +108,12 @@ def _table_primes(limit: int) -> list[int]:
         table[:] = primes
         _prime_table, _table_limit = table, limit
     table = _prime_table
-    return table[:bisect.bisect_right(table, limit)].tolist()
+    return table[:bisect.bisect_right(table, limit)].toreadonly()
+
+
+def _table_primes(limit: int) -> list[int]:
+    """The primes <= limit, limit <= _TABLE_CEILING, as a fresh list."""
+    return _table_view(limit).tolist()
 
 
 def _ensure_small_primes():
@@ -294,10 +301,19 @@ def sieve_primes(limit: int, config: WorkbenchConfig = DEFAULT_CONFIG) -> list[i
     result list itself) would pass the configured cap, whether or not
     the table already holds the answer.
     """
+    primes = prime_view(limit, config)
+    return primes if type(primes) is list else primes.tolist()
+
+
+def prime_view(limit: int, config: WorkbenchConfig = DEFAULT_CONFIG):
+    """The primes <= limit, ascending, for a caller that only reads them:
+    up to _TABLE_CEILING a read-only view of the retained table, which
+    builds no list, and past it the list of a segmented sieve.  The
+    memory check is sieve_primes', on the list it would build."""
     _check_sieve_budget(_estimated_sieve_bytes(limit), f"sieve to {limit}",
                         config)
     if limit <= _TABLE_CEILING:
-        return _table_primes(limit)
+        return _table_view(limit)
     base = _table_primes(math.isqrt(limit))
     out = list(base)
     lo = math.isqrt(limit) + 1

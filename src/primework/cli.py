@@ -4,7 +4,16 @@ One subcommand per module family.  Every run prints either a short
 text report or a stable JSON document (--json).  JSON output is byte
 deterministic: no timing jitter is recorded and integers that can
 exceed 64 bits are emitted as decimal strings, so two runs with the
-same arguments and config produce identical bytes.
+same arguments and config produce identical bytes.  One writer walks
+the results once and appends the bytes that Python's json encoder
+writes, with sort_keys=True and indent=2, for their plain form:
+dataclass fields and dict keys sorted, enums as their values, sets
+sorted, anything else as its str() (the README states every rule).
+
+An argv made only of a subcommand and known options, each given once,
+is read by a fast path that builds the Namespace argparse would;
+argparse parses every other argv (abbreviations, repeats, --help, bad
+values), so it alone prints usage, help and error text.
 
 Exit codes: 0 conclusive success, 1 usage or validation error,
 2 when any requested check came back Unknown.
@@ -16,9 +25,10 @@ import argparse
 import dataclasses
 import enum
 import functools
-import json
 import os
+import re
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from .analogy import LiftStatus, check_crt_analogy
 from .arith import is_prime
@@ -54,24 +64,138 @@ class _Parser(argparse.ArgumentParser):
         return 1
 
 
-def _jsonable(obj):
-    """Stable JSON form: dataclasses become dicts, enums their values,
-    wide integers decimal strings."""
-    if isinstance(obj, bool) or obj is None or isinstance(obj, (str, float)):
-        return obj
-    if isinstance(obj, int):
-        return str(obj) if abs(obj) >= _I64 else obj
-    if isinstance(obj, enum.Enum):
-        return obj.value
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _jsonable(getattr(obj, f.name))
-                for f in dataclasses.fields(obj)}
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        items = sorted(obj) if isinstance(obj, (set, frozenset)) else obj
-        return [_jsonable(v) for v in items]
-    return str(obj)
+# --- JSON writer -----------------------------------------------------------
+# _emit appends the JSON text of one value to out; nl is the newline and
+# indent of the value's own line, and a container's items go one level
+# deeper.  Each type gets its emitter on first sight, by _emitter's checks
+# in order: subclasses of str, float and int are written as json writes
+# them, then come enums, dataclass instances, dicts, sequences and sets,
+# and anything else is its str().
+
+def _emit(obj, out, nl):
+    t = type(obj)
+    if t is str:
+        out.append(_quote(obj))
+    elif t is int:
+        out.append(repr(obj) if -_I64 < obj < _I64 else f'"{obj}"')
+    else:
+        (_EMITTERS.get(t) or _emitter(t))(obj, out, nl)
+
+
+def _emit_float(obj, out, nl):
+    if obj != obj:
+        out.append("NaN")
+    elif obj == _INF:
+        out.append("Infinity")
+    elif obj == -_INF:
+        out.append("-Infinity")
+    else:
+        out.append(float.__repr__(obj))
+
+
+def _emit_pairs(pairs, out, nl):
+    """An object of (quoted key and ": ", value) pairs, in their order."""
+    if not pairs:
+        out.append("{}")
+        return
+    inner = nl + "  "
+    sep = "{" + inner
+    for key, value in pairs:
+        out.append(sep + key)
+        _emit(value, out, inner)
+        sep = "," + inner
+    out.append(nl + "}")
+
+
+def _emit_dict(obj, out, nl):
+    keyed = {str(k): v for k, v in obj.items()}
+    _emit_pairs([(_quote(k) + ": ", v) for k, v in sorted(keyed.items())],
+                out, nl)
+
+
+def _emit_list(obj, out, nl):
+    if not obj:
+        out.append("[]")
+        return
+    inner = nl + "  "
+    sep = "[" + inner
+    for value in obj:
+        out.append(sep)
+        _emit(value, out, inner)
+        sep = "," + inner
+    out.append(nl + "]")
+
+
+def _emitter(t):
+    """The emitter of type t, kept for its next value."""
+    if issubclass(t, str):
+        def emit(obj, out, nl):
+            out.append(_quote(obj))
+    elif issubclass(t, float):
+        emit = _emit_float
+    elif issubclass(t, int):  # bool has its own entry
+        def emit(obj, out, nl):
+            out.append(int.__repr__(obj) if -_I64 < obj < _I64
+                       else _quote(str(obj)))
+    elif issubclass(t, enum.Enum):
+        def emit(obj, out, nl):
+            _emit(obj.value, out, nl)
+    elif dataclasses.is_dataclass(t):
+        keys = sorted((f.name, _quote(f.name) + ": ")
+                      for f in dataclasses.fields(t))
+
+        def emit(obj, out, nl):
+            _emit_pairs([(key, getattr(obj, name)) for name, key in keys],
+                        out, nl)
+    elif issubclass(t, dict):
+        emit = _emit_dict
+    elif issubclass(t, (list, tuple)):
+        emit = _emit_list
+    elif issubclass(t, (set, frozenset)):
+        def emit(obj, out, nl):
+            _emit_list(sorted(obj), out, nl)
+    else:
+        def emit(obj, out, nl):
+            out.append(_quote(str(obj)))
+    _EMITTERS[t] = emit
+    return emit
+
+
+_INF = float("inf")
+_EMITTERS = {
+    type(None): lambda obj, out, nl: out.append("null"),
+    bool: lambda obj, out, nl: out.append("true" if obj else "false"),
+    float: _emit_float,
+    dict: _emit_dict,
+    list: _emit_list,
+    tuple: _emit_list,
+}
+
+
+def _dumps(obj, nl="\n"):
+    """The JSON text of obj's plain form, as the json encoder writes it
+    with sort_keys=True and indent=2, at the indent of nl."""
+    out = []
+    _emit(obj, out, nl)
+    return "".join(out)
+
+
+# one entry: --seed takes any int, so a table could grow without bound
+@functools.lru_cache(maxsize=1)
+def _config_block(config):
+    return _dumps(config, "\n  ")
+
+
+def _envelope(command, config, payload, conclusive):
+    """The --json document, its keys in sorted order."""
+    out = ['{\n  "command": ', _quote(command), ',\n  "conclusive": ']
+    _emit(conclusive, out, "\n  ")
+    # elapsed_ms is pinned to zero so identical runs emit identical bytes
+    out.append(',\n  "config": ' + _config_block(config)
+               + ',\n  "elapsed_ms": 0,\n  "results": ')
+    _emit(payload, out, "\n  ")
+    out.append(f',\n  "schema_version": {SCHEMA_VERSION}\n}}')
+    return "".join(out)
 
 
 def _functions(args):
@@ -318,25 +442,38 @@ _COMMANDS = {
 }
 
 
+# Every subcommand's options, in the order --help lists them, as (flags,
+# type, default, help): type str and int take a value, bool is a flag.
+# A flag's default of None leaves the config's own value standing.
+_OPTIONS = (
+    (("--function", "-f"), str, None, "expression, e.g. 'x^3+1'"),
+    (("--system", "-s"), str, None,
+     "semicolon-joined expressions, e.g. 'x; x+2'"),
+    (("--modulus",), int, None, None),
+    (("--a",), int, None, None),
+    (("--b",), int, None, None),
+    (("--limit",), int, None, None),
+    (("--box",), int, None, None),
+    (("--horizon",), int, None, None),
+    (("--json",), bool, False, None),
+    (("--seed",), int, None, None),
+    (("--strict-positive-n",), bool, None, None),
+    (("--x-min",), int, None, None),
+)
+
+
 @functools.cache
 def _build_parser() -> _Parser:
     """The argument parser, built on the first call of the process and
     reused: parse_args leaves a parser unchanged."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--function", "-f", help="expression, e.g. 'x^3+1'")
-    common.add_argument("--system", "-s",
-                        help="semicolon-joined expressions, e.g. 'x; x+2'")
-    common.add_argument("--modulus", type=int)
-    common.add_argument("--a", type=int)
-    common.add_argument("--b", type=int)
-    common.add_argument("--limit", type=int)
-    common.add_argument("--box", type=int)
-    common.add_argument("--horizon", type=int)
-    common.add_argument("--json", action="store_true")
-    common.add_argument("--seed", type=int)
-    common.add_argument("--strict-positive-n", action="store_true",
-                        default=None)
-    common.add_argument("--x-min", type=int)
+    for flags, kind, default, help_text in _OPTIONS:
+        if kind is bool:
+            common.add_argument(*flags, action="store_true", default=default,
+                                help=help_text)
+        else:
+            common.add_argument(*flags, type=None if kind is str else kind,
+                                help=help_text)
 
     parser = _Parser(prog="primework",
                      description="number-theoretic function workbench")
@@ -347,12 +484,74 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# --- argv fast path ----------------------------------------------------------
+
+def _dest(flags):
+    """The attribute argparse names after an option's first flag."""
+    return flags[0][2:].replace("-", "_")
+
+
+_OPTION_OF = {flag: (_dest(flags), kind)
+              for flags, kind, _, _ in _OPTIONS for flag in flags}
+_DEFAULTS = {_dest(flags): default for flags, _, default, _ in _OPTIONS}
+# ASCII digits only: int() reads them alike on every Python, and argparse
+# reads a leading "-" and digits as a value, since no flag looks like one
+_INT_WORD = re.compile(r"-?[0-9]+").fullmatch
+
+
+def _fast_args(argv):
+    """The Namespace argparse builds for argv, when argv is a subcommand
+    followed only by known options, each once: a text option with its
+    value as the next word (not starting with "-") or after "=" of its
+    long form, an int option with its value as the next word, a flag on
+    its own.  None for any other argv."""
+    if not argv or type(argv[0]) is not str or argv[0] not in _COMMANDS:
+        return None
+    values = {}
+    i, n = 1, len(argv)
+    while i < n:
+        word = argv[i]
+        if type(word) is not str:
+            return None
+        flag, eq, value = word.partition("=")
+        dest, kind = _OPTION_OF.get(flag, (None, None))
+        if dest is None or dest in values:
+            return None
+        if eq:
+            if kind is not str or not value or flag[1] != "-":
+                return None
+            i += 1
+        elif kind is bool:
+            value = True
+            i += 1
+        else:
+            if i + 1 == n or type(argv[i + 1]) is not str:
+                return None
+            value = argv[i + 1]
+            i += 2
+            if kind is str:
+                if value.startswith("-"):
+                    return None
+            elif not _INT_WORD(value):
+                return None
+            else:
+                try:
+                    value = int(value)
+                except ValueError:  # past the int digit limit
+                    return None
+        values[dest] = value
+    return argparse.Namespace(command=argv[0], **{**_DEFAULTS, **values})
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 1
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _fast_args(argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return 0 if exc.code in (0, None) else 1
     # --horizon stays per-command (scan bound); the rest tune the config
     overrides = {k: v for k, v in
                  {"seed": args.seed,
@@ -368,16 +567,7 @@ def main(argv=None) -> int:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     if args.json:
-        envelope = {
-            "schema_version": SCHEMA_VERSION,
-            "command": args.command,
-            "config": _jsonable(config),
-            "results": _jsonable(payload),
-            "conclusive": conclusive,
-            # pinned to zero so identical runs emit identical bytes
-            "elapsed_ms": 0,
-        }
-        text = json.dumps(envelope, sort_keys=True, indent=2)
+        text = _envelope(args.command, config, payload, conclusive)
     else:
         text = "\n".join(lines)
     try:

@@ -19,11 +19,12 @@ over a prefix of the terms, one more for the snapshot at cutoff/10
 (found by bisection); only primes past the kept prefix are counted,
 each term is the same expression on the same floats, and fsum is exact,
 so a constant does not depend on the order of the queries.
-sieve_primes still runs on every query, with its memory check under the
+The memory check of sieve_primes still runs on every query, under the
 caller's config, and charges 48 bytes a prime, so the kept terms (8
 bytes a prime once packed, 32 as a first constant's list) take at most
 two thirds of what the call that kept them was charged.  The primes
-come from the sieve's retained table, so they are not tested for
+are read off the sieve's retained table as a view (arith.prime_view),
+so a warm constant builds no list of them, and they are not tested for
 primality again; only the public omega_p, which takes an arbitrary p,
 checks it.  The tables live as long as the member that holds them.  A
 system asked only once pays nothing for them: a first constant keeps
@@ -97,7 +98,7 @@ from dataclasses import dataclass
 from .analysis import (_analysis, _Scan, envelope_outside_bound, iter_points,
                        univariate_coeffs)
 from .arith import (_check_sieve_budget, euler_phi, is_prime, prime_flags,
-                    sieve_primes)
+                    prime_view, sieve_primes)
 from .config import DEFAULT_CONFIG, WorkbenchConfig
 from .errors import (EvaluationBudgetExceeded, InvalidArgument, NotCoprime,
                      NotUnivariatePolynomial)
@@ -185,7 +186,7 @@ class _System:
         self.fixed_divisor: int | None = None  # on the first constant
         self.terms: list[float] | array = []
 
-    def obstruction(self, primes: list[int]) -> int | None:
+    def obstruction(self, primes) -> int | None:
         """The least p in primes with omega(p) = p: the least prime
         factor of the fixed divisor of P, since p divides every value of
         P exactly when P vanishes at every residue mod p."""
@@ -200,8 +201,9 @@ class _System:
 
     def constant(self, prime_cutoff: int,
                  config: WorkbenchConfig) -> BhConstant:
-        # the sieve runs, with its memory check, whatever is kept
-        primes = sieve_primes(prime_cutoff, config)
+        # the memory check of the sieve runs whatever is kept; up to the
+        # table ceiling the primes are a view of arith's table, not a list
+        primes = prime_view(prime_cutoff, config)
         obstruction = self.obstruction(primes)
         if obstruction is not None:
             return BhConstant(0.0, prime_cutoff, 0.0, obstruction)

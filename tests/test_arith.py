@@ -353,6 +353,21 @@ def test_every_table_builder_keeps_the_memory_check():
             build(limit, tight)
 
 
+def test_prime_view_reads_what_sieve_primes_copies():
+    # a read-only view of the retained table up to its ceiling, the
+    # segmented sieve's list past it, and the same memory check
+    for limit in (0, 1, 2, 3, 1000, 99991, 10**6,
+                  arith._TABLE_CEILING, arith._TABLE_CEILING + 5000):
+        view = arith.prime_view(limit)
+        assert list(view) == sieve_primes(limit), limit
+        if limit <= arith._TABLE_CEILING:
+            assert isinstance(view, memoryview) and view.readonly, limit
+    tight = DEFAULT_CONFIG.with_overrides(sieve_memory_cap=10**4)
+    for limit in (10**5, arith._TABLE_CEILING + 5000):
+        with pytest.raises(MemoryBudgetExceeded, match=f"to {limit} needs"):
+            arith.prime_view(limit, tight)
+
+
 def test_supports_equal_the_factor_table_supports():
     rng = random.Random(16)
     spf = _list_spf(10**5)

@@ -1,8 +1,13 @@
 """CLI surface: exit codes, text output, JSON determinism."""
 
+import contextlib
+import dataclasses
+import enum
 import fcntl
+import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -11,8 +16,13 @@ from pathlib import Path
 import pytest
 
 import primework
-from primework.cli import _build_parser, main
+from primework.analogy import LiftStatus
+from primework.cli import (_COMMANDS, _build_parser, _dumps, _envelope,
+                           _fast_args, main)
+from primework.conditions import Status
+from primework.config import WorkbenchConfig
 from primework.errors import InvalidArgument
+from primework.fermat import FermatStatus
 
 
 def run(capsys, *argv):
@@ -621,3 +631,219 @@ def test_a_long_sum_and_deep_parentheses_answer_through_sfm(capsys):
         code, out, err = run(capsys, "sfm", "-f", text, "--modulus", "7")
         assert (code, err) == (0, ""), text[:20]
         assert out.startswith(f"least witness: x=1  values: {value} ")
+
+
+# --- the JSON writer against json.dumps ------------------------------------
+
+def _jsonable(obj):
+    """The plain form json.dumps was given before the one-pass writer:
+    dataclasses become dicts, enums their values, wide integers decimal
+    strings."""
+    if isinstance(obj, bool) or obj is None or isinstance(obj, (str, float)):
+        return obj
+    if isinstance(obj, int):
+        return str(obj) if abs(obj) >= 2**63 else obj
+    if isinstance(obj, enum.Enum):
+        return obj.value
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: _jsonable(getattr(obj, f.name))
+                for f in dataclasses.fields(obj)}
+    if isinstance(obj, dict):
+        return {str(k): _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, set, frozenset)):
+        items = sorted(obj) if isinstance(obj, (set, frozenset)) else obj
+        return [_jsonable(v) for v in items]
+    return str(obj)
+
+
+def _reference(obj):
+    return json.dumps(_jsonable(obj), sort_keys=True, indent=2)
+
+
+@dataclasses.dataclass(frozen=True)
+class _Record:
+    zeta: object
+    alpha: object
+    mid: object
+
+
+@dataclasses.dataclass
+class _Bare:
+    pass
+
+
+_LEAVES = [2**63 - 1, 2**63, -(2**63 - 1), -2**63, 0, -1, 10**40, True,
+           False, None, -0.0, 0.0, 1e300, 1.5e-300, float("nan"),
+           float("inf"), float("-inf"), 0.1, *Status, *LiftStatus,
+           *FermatStatus, "", "plain", "caf\u00e9 \u2203 \U0001d11e",
+           "tab\tnl\ncr\r nul\x00 esc\x1b del\x7f quote\" back\\",
+           _Bare(), [], (), {}, set(), frozenset()]
+
+
+def _random_value(rng, depth):
+    if depth == 0 or rng.random() < 0.3:
+        if rng.random() < 0.3:
+            return rng.choice([rng.randint(-2**70, 2**70),
+                               rng.randint(-1000, 1000),
+                               rng.uniform(-1e6, 1e6),
+                               "".join(chr(rng.randint(0, 0x2fff))
+                                       for _ in range(rng.randint(0, 6)))])
+        return rng.choice(_LEAVES)
+    size = rng.randint(0, 4)
+    kind = rng.randrange(7)
+    if kind == 0:
+        return _Record(*(_random_value(rng, depth - 1) for _ in range(3)))
+    if kind == 1:  # str and int keys; 1 and "1" name the same key
+        return {rng.choice(["b", "a", "\u00e9", "", "1", 1, -5, 10**30]):
+                _random_value(rng, depth - 1) for _ in range(size)}
+    if kind == 2:
+        return [_random_value(rng, depth - 1) for _ in range(size)]
+    if kind == 3:
+        return tuple(_random_value(rng, depth - 1) for _ in range(size))
+    if kind == 4:
+        return {rng.randint(-2**64, 2**64) for _ in range(size)}
+    if kind == 5:
+        return frozenset(rng.choice(["x", "y", "\u00e9", ""])
+                         for _ in range(size))
+    return rng.choice(_LEAVES)
+
+
+def test_json_writer_matches_json_dumps():
+    rng = random.Random(20260)
+    for leaf in _LEAVES:
+        assert _dumps(leaf) == _reference(leaf), leaf
+    for i in range(3000):
+        value = _random_value(rng, rng.randint(1, 5))
+        assert _dumps(value) == _reference(value), i
+
+
+def test_json_envelope_matches_json_dumps():
+    # the config block is kept for one config value; --seed takes any
+    # int, so a wide seed and a change of config must show in the bytes
+    rng = random.Random(26)
+    configs = [WorkbenchConfig(), WorkbenchConfig(seed=2**70),
+               WorkbenchConfig(seed=-3, strict_positive_n=True, x_min=0)]
+    for i in range(300):
+        config = rng.choice(configs)
+        payload = _random_value(rng, 3)
+        conclusive = rng.choice([True, False])
+        envelope = {"schema_version": 1, "command": "sfm",
+                    "config": _jsonable(config),
+                    "results": _jsonable(payload),
+                    "conclusive": conclusive, "elapsed_ms": 0}
+        assert _envelope("sfm", config, payload, conclusive) == json.dumps(
+            envelope, sort_keys=True, indent=2), i
+
+
+# --- the argv fast path against argparse -----------------------------------
+
+_TEXTS = ["x", "x^2+1", "x; x+2", "2^x-1", "floor(x/3)+1", "x y", "",
+          "caf\u00e9", "3*4^(x-3)+(-5)"]
+_INTS = ["0", "7", "-7", "007", "-0", "82677", "1" + "0" * 30, "-123456"]
+_INT_FLAGS = ["--modulus", "--a", "--b", "--limit", "--box", "--horizon",
+              "--seed", "--x-min"]
+
+# argv the fast path must leave to argparse
+_DECLINED = [
+    [], ["frobnicate"], ["-h"], ["--help"], ["sfm", "-h"],
+    ["sfm", "--json", "--json"], ["sfm", "-f", "x", "--function", "y"],
+    ["sfm", "--modulus", "3", "--modulus", "4"],
+    ["sfm", "-f", "x", "--mod", "5"], ["sfm", "-f", "-x"],
+    ["sfm", "--function="], ["sfm", "-f=x"], ["sfm", "--json=1"],
+    ["sfm", "--modulus=5"], ["sfm", "--modulus", "+7"],
+    ["sfm", "--modulus", " 7"], ["sfm", "--modulus", "1_000"],
+    ["sfm", "--modulus", "\u0663"], ["sfm", "--modulus", "9" * 5000],
+    ["sfm", "--modulus", "ten"], ["sfm", "-f", "x", "--", "--json"],
+    ["sfm", "-f"], ["sfm", "--modulus"], ["sfm", "--frobnicate", "1"],
+    ["sfm", "-f", "x", "extra"], ["sfm", "--limit", "-f"],
+]
+
+
+def _valid_argv(rng):
+    argv = [rng.choice(list(_COMMANDS))]
+    text_flags = [rng.choice([["-f", "--function"], ["-s", "--system"]])]
+    if rng.random() < 0.2:
+        text_flags = [["-f", "--function"], ["-s", "--system"]]
+    for spellings in text_flags:
+        value = rng.choice(_TEXTS)
+        if rng.random() < 0.3 and value:
+            argv.append(spellings[1] + "=" + rng.choice(["-", ""]) + value)
+        else:
+            argv += [rng.choice(spellings), value]
+    for flag in rng.sample(_INT_FLAGS, rng.randint(0, 4)):
+        argv += [flag, rng.choice(_INTS)]
+    for flag in ("--json", "--strict-positive-n"):
+        if rng.random() < 0.4:
+            argv.append(flag)
+    pairs = []  # shuffle the options, each with its value
+    k = 1
+    while k < len(argv):
+        takes_value = argv[k] in ("-f", "-s", "--function", "--system",
+                                  *_INT_FLAGS)
+        pairs.append(argv[k:k + 1 + takes_value])
+        k += 1 + takes_value
+    rng.shuffle(pairs)
+    return argv[:1] + [word for pair in pairs for word in pair]
+
+
+def _mutated(rng, argv):
+    """argv with one change the fast path may have to decline."""
+    argv = list(argv)
+    k = rng.randrange(len(argv) + 1)
+    change = rng.randrange(6)
+    if change == 0:
+        argv.insert(k, rng.choice(["--", "-h", "--mod", "--js", "extra",
+                                   "--frobnicate", "-x", "--json=",
+                                   "--function=", "-f=x"]))
+    elif change == 1 and len(argv) > 1:
+        argv.append(rng.choice(argv[1:]))  # a repeat, or a stray value
+    elif change == 2:
+        argv.insert(k, rng.choice(_INT_FLAGS))
+        argv.insert(k + 1, rng.choice(["+7", " 7", "1_000", "\u0663",
+                                       "9" * 5000, "7.0", "", "-f"]))
+    elif change == 3:
+        argv = argv[:-1]  # maybe a missing value
+    elif change == 4:
+        argv.insert(k, rng.choice(["-f", "-s"]))
+        argv.insert(k + 1, rng.choice(["-x", "-2*3^x+5", "--json"]))
+    else:
+        argv[0] = rng.choice(["sfm", "fermat", "--json", "-h", "sf"])
+    return argv
+
+
+def check_fast_path_matches_argparse(seed, count):
+    """The fast path's Namespace equals argparse's on count seeded argv,
+    or the fast path declined; argv built valid is never declined.
+    Returns (valid argv read by the fast path, argv declined)."""
+    rng = random.Random(seed)
+    parser = _build_parser()
+    fast_valid = declined = 0
+    for i in range(count):
+        argv = _valid_argv(rng)
+        valid = rng.random() < 0.6
+        if not valid:
+            argv = _mutated(rng, argv)
+        fast = _fast_args(argv)
+        with contextlib.redirect_stderr(io.StringIO()), \
+                contextlib.redirect_stdout(io.StringIO()):
+            try:
+                slow = parser.parse_args(argv)
+            except SystemExit:
+                slow = None
+        assert fast is None or fast == slow, (i, argv, fast, slow)
+        if valid:
+            assert fast is not None, (i, argv)
+            fast_valid += 1
+        declined += fast is None
+    return fast_valid, declined
+
+
+def test_fast_path_matches_argparse():
+    fast_valid, declined = check_fast_path_matches_argparse(26, 2000)
+    assert fast_valid > 1000 and declined > 400
+
+
+@pytest.mark.parametrize("argv", _DECLINED,
+                         ids=[f"{i:02d}" for i in range(len(_DECLINED))])
+def test_fast_path_declines(argv):
+    assert _fast_args(argv) is None
